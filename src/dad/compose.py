@@ -16,6 +16,9 @@ import re
 from dataclasses import dataclass, field
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from .errors import ComposeSyntaxError, LoweringError, SchemaError
 from .model import (
@@ -81,14 +84,42 @@ def issues_ok(issues: list[ValidationIssue]) -> bool:
     return not any(issue.severity == "error" for issue in issues)
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys instead of silently merging."""
+if yaml.__with_libyaml__:
+    from yaml._yaml import CParser
+
+    class _LoaderBase(CParser, Composer, SafeConstructor, Resolver):
+        """libyaml's event parser under PyYAML's composer, constructor and resolver.
+
+        libyaml's own composer recurses on the C stack, so a deeply nested
+        document kills the process; PyYAML's composer stops at the Python
+        recursion limit with a RecursionError instead. ``yaml.load`` composes
+        through ``get_single_node``, so that one must not come from CParser.
+        """
+
+        get_single_node = Composer.get_single_node
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+    _DumperBase = yaml.CSafeDumper
+else:
+    _LoaderBase = yaml.SafeLoader
+    _DumperBase = yaml.SafeDumper
+
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
-def _construct_mapping(loader: _UniqueKeyLoader, node, deep=False):
+class _UniqueKeyLoader(_LoaderBase):
+    """Safe loader that rejects duplicate mapping keys instead of silently merging."""
+
+
+def _construct_pairs(loader: _UniqueKeyLoader, pairs, unique: bool) -> dict:
     mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
+    for key_node, value_node in pairs:
+        key = loader.construct_object(key_node)
         try:
             duplicate = key in mapping
         except TypeError:
@@ -97,14 +128,25 @@ def _construct_mapping(loader: _UniqueKeyLoader, node, deep=False):
                 key_node.start_mark.line + 1,
                 key_node.start_mark.column + 1,
             ) from None
-        if duplicate:
+        if duplicate and unique:
             raise ComposeSyntaxError(
                 f"duplicate mapping key {key!r}",
                 key_node.start_mark.line + 1,
                 key_node.start_mark.column + 1,
             )
-        mapping[key] = loader.construct_object(value_node, deep=deep)
+        mapping[key] = loader.construct_object(value_node)
     return mapping
+
+
+def _construct_mapping(loader: _UniqueKeyLoader, node):
+    # Only the mapping's own keys must be unique; merge keys (<<) bring in
+    # defaults that its explicit keys override (https://yaml.org/type/merge.html).
+    explicit = [pair for pair in node.value if pair[0].tag != _MERGE_TAG]
+    mapping = _construct_pairs(loader, explicit, unique=True)
+    if len(explicit) == len(node.value):
+        return mapping
+    loader.flatten_mapping(node)
+    return _construct_pairs(loader, node.value, unique=False)
 
 
 _UniqueKeyLoader.add_constructor(
@@ -117,6 +159,8 @@ def _load_yaml(text: str):
         return yaml.load(text, Loader=_UniqueKeyLoader)
     except ComposeSyntaxError:
         raise
+    except RecursionError:
+        raise ComposeSyntaxError("nesting too deep") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "invalid YAML"
@@ -450,20 +494,16 @@ def spec_to_mapping(spec: ComposeSpec, retained: bool = True, residue: bool = Tr
     ``serialize_compose``. Either half can be rendered alone, which is how the
     retained/residue partition is checked.
     """
-    doc: dict = {}
-    if residue:
-        for path, value in spec.residue.items():
-            if len(path) == 1:
-                doc[path[0]] = value
+    groups = _group_residue(spec.residue) if residue else {}
+    doc: dict = dict(groups.get((), {}))
     if retained:
         doc["services"] = {
-            name: _service_body(spec, name, entry, residue)
-            for name, entry in spec.services.items()
+            name: _service_body(groups, name, entry) for name, entry in spec.services.items()
         }
         if spec.volumes:
-            doc["volumes"] = {name: _named_body(spec, "volumes", name, residue) for name in spec.volumes}
+            doc["volumes"] = {name: groups.get(("volumes", name)) or None for name in spec.volumes}
         if spec.networks:
-            doc["networks"] = {name: _named_body(spec, "networks", name, residue) for name in spec.networks}
+            doc["networks"] = {name: groups.get(("networks", name)) or None for name in spec.networks}
     if residue and not retained:
         for path, value in spec.residue.items():
             if len(path) > 1:
@@ -471,15 +511,12 @@ def spec_to_mapping(spec: ComposeSpec, retained: bool = True, residue: bool = Tr
     return doc
 
 
-def _named_body(spec: ComposeSpec, section: str, name: str, residue: bool):
-    if not residue:
-        return None
-    body = {
-        path[2]: value
-        for path, value in spec.residue.items()
-        if len(path) == 3 and path[0] == section and path[1] == name
-    }
-    return body or None
+def _group_residue(residue: dict[ResiduePath, object]) -> dict[ResiduePath, dict]:
+    """Index residue by owner in one pass: parent path -> {last path part: value}."""
+    groups: dict[ResiduePath, dict] = {}
+    for path, value in residue.items():
+        groups.setdefault(path[:-1], {})[path[-1]] = value
+    return groups
 
 
 def _splice(doc: dict, path: ResiduePath, value: object) -> None:
@@ -489,17 +526,13 @@ def _splice(doc: dict, path: ResiduePath, value: object) -> None:
     node[path[-1]] = value
 
 
-def _service_body(spec: ComposeSpec, name: str, entry: ServiceEntry, residue: bool) -> dict | None:
-    res = spec.residue if residue else {}
+def _service_body(groups: dict[ResiduePath, dict], name: str, entry: ServiceEntry) -> dict | None:
+    owner = ("services", name)
     body: dict = {}
     if entry.image is not None:
         body["image"] = entry.image
     if entry.build is not None:
-        extras = {
-            path[3]: value
-            for path, value in res.items()
-            if len(path) == 4 and path[:3] == ("services", name, "build")
-        }
+        extras = groups.get((*owner, "build"), {})
         if entry.build.dockerfile is None and not extras:
             body["build"] = entry.build.context
         else:
@@ -511,50 +544,36 @@ def _service_body(spec: ComposeSpec, name: str, entry: ServiceEntry, residue: bo
     if entry.container_name is not None:
         body["container_name"] = entry.container_name
     if entry.depends_on:
-        conditions = {
-            path[3]: value
-            for path, value in res.items()
-            if len(path) == 4 and path[:3] == ("services", name, "depends_on")
-        }
+        conditions = groups.get((*owner, "depends_on"))
         if conditions:
             body["depends_on"] = {dep: conditions.get(dep) for dep in entry.depends_on}
         else:
             body["depends_on"] = list(entry.depends_on)
     if entry.links:
+        aliases = groups.get((*owner, "links"), {})
         body["links"] = [
-            f"{link}:{res[('services', name, 'links', i)]}"
-            if ("services", name, "links", i) in res
-            else link
-            for i, link in enumerate(entry.links)
+            f"{link}:{aliases[i]}" if i in aliases else link for i, link in enumerate(entry.links)
         ]
-    volume_items = [_mount_item(res, name, mount) for mount in entry.volumes]
-    if residue:
-        volume_items.extend(spec.residue.get(("services", name, "volumes"), []))
+    own = groups.get(owner, {})
+    volume_items = [_mount_item(groups, owner, mount) for mount in entry.volumes]
+    volume_items.extend(own.get("volumes", []))
     if volume_items:
         body["volumes"] = volume_items
     if entry.networks:
-        bodies = {
-            path[3]: value
-            for path, value in res.items()
-            if len(path) == 4 and path[:3] == ("services", name, "networks")
-        }
+        bodies = groups.get((*owner, "networks"))
         if bodies:
             body["networks"] = {net: bodies.get(net) for net in entry.networks}
         else:
             body["networks"] = list(entry.networks)
-    if residue:
-        for path, value in spec.residue.items():
-            # the "volumes" path holds the mount passthrough merged above
-            if len(path) == 3 and path[:2] == ("services", name) and path[2] != "volumes":
-                body[path[2]] = value
+    for key, value in own.items():
+        # the "volumes" entry holds the mount passthrough merged above
+        if key != "volumes":
+            body[key] = value
     return body or None
 
 
-def _mount_item(res: dict, svc: str, mount: MountRef):
-    key_prefix = ("services", svc, "volumes", f"{mount.volume}:{mount.target}")
-    extras = {
-        path[4]: value for path, value in res.items() if len(path) == 5 and path[:4] == key_prefix
-    }
+def _mount_item(groups: dict[ResiduePath, dict], owner: ResiduePath, mount: MountRef):
+    extras = groups.get((*owner, "volumes", f"{mount.volume}:{mount.target}"), {})
     if not extras and ":" not in mount.target:
         return f"{mount.volume}:{mount.target}"
     if set(extras) == {"mode"} and ":" not in mount.target:
@@ -564,7 +583,7 @@ def _mount_item(res: dict, svc: str, mount: MountRef):
     return item
 
 
-class _ComposeDumper(yaml.SafeDumper):
+class _ComposeDumper(_DumperBase):
     pass
 
 

@@ -2,9 +2,13 @@
 
 Every test drives ``cli.main`` in process and asserts on exit codes and
 captured streams, so the exit-code contract (0 consistent, 1 inconsistent,
-2 invalid, 3 I/O) is pinned exactly where CI scripts would observe it.
+2 invalid, 3 I/O) is pinned exactly where CI scripts would observe it. One
+test also runs ``dad check`` as a subprocess, to see that it ends by an exit
+code and not by a signal.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -391,6 +395,33 @@ class TestUsage:
     def test_subcommand_help(self, capsys, sub):
         assert cli.main([sub, "--help"]) == EXIT_OK
         capsys.readouterr()
+
+
+def write_deeply_nested(tmp_path: Path, depth: int) -> Path:
+    path = tmp_path / f"deep{depth}.yml"
+    path.write_text("a: " + "[" * depth + "]" * depth + "\n", encoding="utf-8")
+    return path
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("depth", [5000, 100000])
+    def test_check_is_invalid(self, capsys, tmp_path, depth):
+        code, out, err = run(capsys, "check", "-i", str(write_deeply_nested(tmp_path, depth)))
+        assert code == EXIT_INVALID
+        assert "verdict: Invalid" in out
+        assert "nesting too deep" in out
+
+    def test_check_subprocess_exits_invalid(self, tmp_path):
+        path = write_deeply_nested(tmp_path, 100000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dad.cli", "check", "-i", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        # a negative return code would mean the process died of a signal
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert "nesting too deep" in proc.stdout
 
 
 def cli_generate_text(capsys, path) -> str:

@@ -17,6 +17,7 @@ from dad.compose import (
     spec_to_mapping,
     validate,
 )
+from dad.consistency import Verdict, round_trip_check
 from dad.errors import ComposeSyntaxError, LoweringError, SchemaError
 from dad.model import BuildRef, EdgeKind
 
@@ -320,6 +321,28 @@ class TestLower:
         assert lower(parse_compose("name: billing stack\nservices: {}\n")).title == "billing stack"
         assert lower(parse_compose("services: {}\n")).title == "system"
         assert lower(parse_compose("services: {}\n"), fallback_title="alt").title == "alt"
+
+
+class TestMergeKeys:
+    # https://yaml.org/type/merge.html: the mapping's own keys override merged ones.
+    BASE = "x-base: &base\n  image: nginx:1.25\n  restart: always\n"
+
+    def test_merged_service_lowers_with_merged_image(self):
+        text = self.BASE + "services:\n  web:\n    <<: *base\n    ports: ['80:80']\n"
+        model = lower(parse_compose(text))
+        assert model.services[0].image == "nginx:1.25"
+        assert round_trip_check(text).verdict is Verdict.CONSISTENT
+
+    def test_explicit_key_beats_merged_one(self):
+        spec = parse_compose(self.BASE + "services:\n  web:\n    <<: *base\n    image: httpd:2\n")
+        assert spec.services["web"].image == "httpd:2"
+        assert spec.residue[("services", "web", "restart")] == "always"
+
+    def test_repeated_explicit_key_still_rejected(self):
+        text = self.BASE + "services:\n  web:\n    <<: *base\n    image: a\n    image: b\n"
+        with pytest.raises(ComposeSyntaxError, match="duplicate mapping key 'image'") as err:
+            parse_compose(text)
+        assert (err.value.line, err.value.col) == (8, 5)
 
 
 class TestSerialize:

@@ -329,3 +329,10 @@ class TestRenderReport:
         left = render_report(check_diagram_against_descriptor(PARTIAL_SCRIPT, FRAGMENT_DESCRIPTOR))
         right = render_report(check_diagram_against_descriptor(PARTIAL_SCRIPT, FRAGMENT_DESCRIPTOR))
         assert left == right
+
+
+@pytest.mark.parametrize("depth", [5000, 100000])
+def test_deep_nesting_is_invalid_not_a_crash(depth):
+    report = round_trip_check("a: " + "[" * depth + "]" * depth + "\n")
+    assert report.verdict is Verdict.INVALID
+    assert "nesting too deep" in report.error
