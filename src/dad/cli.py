@@ -3,8 +3,9 @@
 Exit codes are a CI-friendly contract:
   0  success / Consistent
   1  Inconsistent
-  2  invalid input (parse, schema, validation, usage)
+  2  invalid input (parse, schema, validation, usage, not UTF-8)
   3  I/O failure (unreadable input, unwritable output)
+  4  internal error (an unexpected exception; the traceback goes to stderr)
 
 The environment variable DAD_ROLE_TABLE may point at a file with one
 ``substring=role`` pair per line (blank lines and ``#`` comments ignored); it
@@ -109,7 +110,7 @@ def _load_role_table() -> tuple[tuple[str, str], ...]:
     if not path:
         return DEFAULT_ROLE_TABLE
     pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -119,6 +120,15 @@ def _load_role_table() -> tuple[tuple[str, str], ...]:
             raise DadError(f"role table {path} line {lineno}: expected substring=role")
         pairs.append((substring, role))
     return tuple(pairs)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DadError(
+            f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from exc
 
 
 def _write_output(output: Path | None, text: str) -> None:
@@ -156,7 +166,7 @@ def _descriptor_model(text: str, path: Path, strict: bool):
 
 def cmd_generate(args) -> int:
     path = _single_input(args, "generate")
-    model, _ = _descriptor_model(path.read_text(encoding="utf-8"), path, args.strict)
+    model, _ = _descriptor_model(_read_text(path), path, args.strict)
     model.validate()
     opts = EmitOptions(group_by_role=args.group_by_role, role_table=_load_role_table())
     if args.format == "dot":
@@ -168,7 +178,7 @@ def cmd_generate(args) -> int:
 
 def cmd_invert(args) -> int:
     path = _single_input(args, "invert")
-    ast = parse_dac(path.read_text(encoding="utf-8"), strict=args.strict)
+    ast = parse_dac(_read_text(path), strict=args.strict)
     _write_output(args.output, emit_compose(lift(ast)))
     return 0
 
@@ -183,8 +193,8 @@ def cmd_check(args) -> int:
             )
         descriptor = next(p for p in paths if not _is_dac_path(p))
         report = check_diagram_against_descriptor(
-            dac_paths[0].read_text(encoding="utf-8"),
-            descriptor.read_text(encoding="utf-8"),
+            _read_text(dac_paths[0]),
+            _read_text(descriptor),
             strict=args.strict,
         )
         _write_output(args.output, render_report(report, args.report))
@@ -193,7 +203,7 @@ def cmd_check(args) -> int:
     blocks: list[str] = []
     worst = 0
     for path in paths:
-        report = round_trip_check(path.read_text(encoding="utf-8"), strict=args.strict)
+        report = round_trip_check(_read_text(path), strict=args.strict)
         rendered = render_report(report, args.report)
         if len(paths) > 1:
             prefix = f"== {path}\n" if args.report == "text" else f"file\t{path}\n"
@@ -206,7 +216,7 @@ def cmd_check(args) -> int:
 
 def _side_model(path: Path, fmt: str | None, strict: bool):
     """Load one diff side as (model, notes) honoring the format override."""
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     if fmt == "dac" or (fmt is None and _is_dac_path(path)):
         return lift(parse_dac(text, strict=strict)), ()
     model, spec = _descriptor_model(text, path, strict)
@@ -241,6 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # a defect in dad, not a verdict: keep it apart from exit 1
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

@@ -16,7 +16,7 @@ from . import compose
 from .dac_emit import emit_dac
 from .dac_ingest import emit_compose, lift, parse_dac
 from .errors import DadError
-from .model import ArchModel, canonicalize
+from .model import ArchModel, CanonicalForm, canonicalize
 
 
 class Verdict(Enum):
@@ -104,14 +104,22 @@ def _diff_named_section(
                 )
 
 
-def diff_models(left: ArchModel, right: ArchModel) -> list[DiffEntry]:
+def _canonical(model: ArchModel | CanonicalForm) -> CanonicalForm:
+    # a form that is already canonical is used as is, so that one compare
+    # canonicalizes each side once
+    return model if isinstance(model, CanonicalForm) else canonicalize(model)
+
+
+def diff_models(
+    left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm
+) -> list[DiffEntry]:
     """Structural difference of the canonical forms, deterministic and sorted.
 
     Nodes pair by name, edges by (kind, src, dst) with exact matches consumed
     first; a paired mount whose targets disagree is one AttributeMismatch
     rather than a missing/extra pair.
     """
-    ca, cb = canonicalize(left), canonicalize(right)
+    ca, cb = _canonical(left), _canonical(right)
     entries: list[DiffEntry] = []
 
     _diff_named_section("services", dict(ca.services), dict(cb.services), entries)
@@ -122,16 +130,15 @@ def diff_models(left: ArchModel, right: ArchModel) -> list[DiffEntry]:
         "networks", {n: () for n in ca.networks}, {n: () for n in cb.networks}, entries
     )
 
+    # leftover edges, grouped by (kind, src, dst) into sorted (left, right) targets
     left_edges, right_edges = Counter(ca.edges), Counter(cb.edges)
-    exact = left_edges & right_edges
-    left_rest, right_rest = left_edges - exact, right_edges - exact
-    keys = {e[:3] for e in left_rest} | {e[:3] for e in right_rest}
-    lt = sorted(left_rest.elements())
-    rt = sorted(right_rest.elements())
-    for kind, src, dst in sorted(keys):
+    groups: dict[tuple[str, str, str], tuple[list[str], list[str]]] = {}
+    for side, rest in enumerate((left_edges - right_edges, right_edges - left_edges)):
+        for kind, src, dst, target in sorted(rest.elements()):
+            groups.setdefault((kind, src, dst), ([], []))[side].append(target)
+    for kind, src, dst in sorted(groups):
         subject = f"edges.{kind}.{src}->{dst}"
-        l_targets = [e[3] for e in lt if e[:3] == (kind, src, dst)]
-        r_targets = [e[3] for e in rt if e[:3] == (kind, src, dst)]
+        l_targets, r_targets = groups[kind, src, dst]
         paired = min(len(l_targets), len(r_targets))
         for lv, rv in zip(l_targets[:paired], r_targets[:paired]):
             entries.append(
@@ -146,8 +153,7 @@ def diff_models(left: ArchModel, right: ArchModel) -> list[DiffEntry]:
     return entries
 
 
-def _stats(left: ArchModel, right: ArchModel) -> ReportStats:
-    ca, cb = canonicalize(left), canonicalize(right)
+def _stats(ca: CanonicalForm, cb: CanonicalForm) -> ReportStats:
     return ReportStats(
         left_nodes=ca.node_count(),
         left_edges=ca.edge_count(),
@@ -165,14 +171,17 @@ def _verdict_for(entries: list[DiffEntry]) -> Verdict:
 
 
 def compare_models(
-    left: ArchModel, right: ArchModel, notes: tuple[str, ...] = ()
+    left: ArchModel | CanonicalForm,
+    right: ArchModel | CanonicalForm,
+    notes: tuple[str, ...] = (),
 ) -> ConsistencyReport:
     """Diff two already-built models and wrap the result in a report."""
-    entries = diff_models(left, right)
+    ca, cb = canonicalize(left), canonicalize(right)
+    entries = diff_models(ca, cb)
     return ConsistencyReport(
         verdict=_verdict_for(entries),
         issues=tuple(entries),
-        stats=_stats(left, right),
+        stats=_stats(ca, cb),
         notes=notes,
     )
 

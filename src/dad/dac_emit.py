@@ -12,8 +12,10 @@ The script grammar (shared with the ingestion side, bit-exact):
               | INDENT IDENT " - " IDENT annot? NL
     annot    := "  # " KV ("," KV)*        ; KV := KEY "=" VALUE, no "=" padding
 
-INDENT is two spaces, encoding UTF-8, line endings LF. Emission is
-deterministic, so equal models with equal options give byte-identical text.
+INDENT is two spaces, encoding UTF-8, line endings LF. Quoted TITLE, NAME and
+LABEL text escapes backslash and quote with a backslash, and control
+characters as \\n, \\r, \\t or \\xHH. Emission is deterministic, so equal
+models with equal options give byte-identical text.
 Trailing annotations carry the node attributes and mount targets that the
 pictures alone would lose; they are what makes the inverse direction
 information-preserving.
@@ -21,6 +23,7 @@ information-preserving.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import EmitError, ModelError
@@ -43,6 +46,14 @@ DEFAULT_ROLE_TABLE: tuple[tuple[str, str], ...] = (
 
 _KIND_BY_NODE = {ServiceNode: "Server", VolumeNode: "Storage", NetworkNode: "Network"}
 _CLUSTER_SUFFIX = {ServiceNode: "service", VolumeNode: "volume", NetworkNode: "network"}
+# Node type of an edge's destination; sources are always services. Kinds keep
+# separate namespaces, so a service and a volume may share a name.
+_DST_TYPE = {
+    EdgeKind.DEPENDENCY: ServiceNode,
+    EdgeKind.LINK: ServiceNode,
+    EdgeKind.MOUNT: VolumeNode,
+    EdgeKind.ATTACHMENT: NetworkNode,
+}
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,16 @@ class DacScript:
     identifiers: tuple[tuple[str, str, str], ...] = field(default_factory=tuple)
 
 
+def _ident_base(name: str) -> str:
+    base = "".join(
+        ch.lower() if ("A" <= ch <= "Z" or "a" <= ch <= "z" or "0" <= ch <= "9") else "_"
+        for ch in name
+    )
+    if "0" <= base[0] <= "9":
+        base = "_" + base
+    return base
+
+
 def sanitize_ident(name: str, taken: set[str]) -> str:
     """Turn an arbitrary node name into a unique script identifier.
 
@@ -75,36 +96,55 @@ def sanitize_ident(name: str, taken: set[str]) -> str:
     underscore, a leading digit gets an underscore prefix. Collisions take
     the first free ``_2``, ``_3``, ... suffix.
     """
-    base = "".join(
-        ch.lower() if ("A" <= ch <= "Z" or "a" <= ch <= "z" or "0" <= ch <= "9") else "_"
-        for ch in name
-    )
-    if "0" <= base[0] <= "9":
-        base = "_" + base
+    base = _ident_base(name)
     if base not in taken:
         return base
-    n = 2
+    return f"{base}_{_free_suffix(base, taken, 2)}"
+
+
+def _free_suffix(base: str, taken: set[str], n: int) -> int:
+    """The first suffix from n on whose ``base_n`` is not taken."""
     while f"{base}_{n}" in taken:
         n += 1
-    return f"{base}_{n}"
+    return n
+
+
+# Control characters would break a script line (or be rewritten by universal
+# newline reading); they travel as escapes instead.
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+_NAMED_ESCAPES = {"\n": "n", "\r": "r", "\t": "t"}
+_NAMED_CONTROLS = {code: ch for ch, code in _NAMED_ESCAPES.items()}
+_ESCAPE_RE = re.compile(r"\\(x[0-9a-f]{2}|.)", re.DOTALL)
+
+
+def _escape_control(match: re.Match) -> str:
+    ch = match.group()
+    code = _NAMED_ESCAPES.get(ch)
+    return f"\\{code}" if code else f"\\x{ord(ch):02x}"
+
+
+def _unescape_one(match: re.Match) -> str:
+    seq = match.group(1)
+    if len(seq) == 3:
+        return chr(int(seq[1:], 16))
+    return _NAMED_CONTROLS.get(seq, seq)
 
 
 def escape_quoted(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
+    """Escape a label or title for a double-quoted script or DOT string.
+
+    Backslash and quote get a backslash; control characters become ``\\n``,
+    ``\\r``, ``\\t`` or ``\\xHH``. Text without them keeps its bytes.
+    """
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    return _CONTROL_RE.sub(_escape_control, escaped)
 
 
 def unescape_quoted(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            out.append(value[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Exact inverse of escape_quoted; any other ``\\c`` reads as ``c``."""
+    if "\\" not in value:
+        return value
+    return _ESCAPE_RE.sub(_unescape_one, value)
 
 
 def encode_annot_value(value: str) -> str:
@@ -120,6 +160,8 @@ def encode_annot_value(value: str) -> str:
 
 
 def decode_annot_value(value: str) -> str:
+    if "%" not in value:
+        return value
     return (
         value.replace("%20", " ")
         .replace("%0A", "\n")
@@ -159,11 +201,37 @@ def role_of(node: ServiceNode, role_table: tuple[tuple[str, str], ...]) -> str:
     return "service"
 
 
-def _ordered_services(model: ArchModel, opts: EmitOptions) -> list[ServiceNode]:
+_Layout = list[tuple[object, str]]
+_Idents = dict[tuple[type, str], str]
+
+
+def _layout(model: ArchModel, opts: EmitOptions) -> tuple[_Layout, _Idents]:
+    """(node, identifier) in emission order, and identifiers by (node type, name).
+
+    Services come first (stable-sorted by role when grouping is on), then
+    volumes, then networks. Identifiers are what sanitize_ident would give
+    each node in turn; a next-suffix counter per base keeps names that share
+    a base from rescanning the suffixes already taken.
+    """
     services = list(model.services)
     if opts.group_by_role:
         services.sort(key=lambda node: role_of(node, opts.role_table))  # stable
-    return services
+    taken: set[str] = set()
+    next_suffix: dict[str, int] = {}
+    layout = []
+    for node in (*services, *model.volumes, *model.networks):
+        base = ident = _ident_base(node.name)
+        if ident in taken:
+            n = _free_suffix(base, taken, next_suffix.get(base, 2))
+            next_suffix[base] = n + 1
+            ident = f"{base}_{n}"
+        taken.add(ident)
+        layout.append((node, ident))
+    return layout, {(type(node), node.name): ident for node, ident in layout}
+
+
+def _endpoints(edge, idents: _Idents) -> tuple[str, str]:
+    return idents[ServiceNode, edge.src], idents[_DST_TYPE[edge.kind], edge.dst]
 
 
 def _checked(model: ArchModel) -> ArchModel:
@@ -184,31 +252,25 @@ def emit_dac(model: ArchModel, opts: EmitOptions | None = None) -> DacScript:
     opts = opts or EmitOptions()
     _checked(model)
 
-    nodes = _ordered_services(model, opts) + list(model.volumes) + list(model.networks)
-    idents: dict[str, str] = {}
-    identifiers: list[tuple[str, str, str]] = []
-    taken: set[str] = set()
-    for node in nodes:
-        ident = sanitize_ident(node.name, taken)
-        taken.add(ident)
-        idents[node.name] = ident
-        identifiers.append((ident, _KIND_BY_NODE[type(node)], node.name))
+    layout, idents = _layout(model, opts)
+    identifiers = tuple((ident, _KIND_BY_NODE[type(node)], node.name) for node, ident in layout)
 
     lines = [f'with DaC("{escape_quoted(model.title)}", direction="{opts.direction}"):']
-    if not nodes and not model.edges:
+    if not layout and not model.edges:
         lines.append("  pass")
-    for node in nodes:
+    for node, ident in layout:
         label = escape_quoted(node.name)
         suffix = _CLUSTER_SUFFIX[type(node)]
         kind = _KIND_BY_NODE[type(node)]
         annot = _format_annotations(_node_annotations(node))
         lines.append(f'  with Cluster("{label} {suffix}"):')
-        lines.append(f'    {idents[node.name]} = {kind}("{label}"){annot}')
+        lines.append(f'    {ident} = {kind}("{label}"){annot}')
     for edge in model.edges:
         op = ">>" if edge.kind is EdgeKind.DEPENDENCY else "-"
         annot = _format_annotations([("target", edge.target)] if edge.target is not None else [])
-        lines.append(f"  {idents[edge.src]} {op} {idents[edge.dst]}{annot}")
-    return DacScript(text="\n".join(lines) + "\n", identifiers=tuple(identifiers))
+        src, dst = _endpoints(edge, idents)
+        lines.append(f"  {src} {op} {dst}{annot}")
+    return DacScript(text="\n".join(lines) + "\n", identifiers=identifiers)
 
 
 _DOT_SHAPE = {ServiceNode: "box", VolumeNode: "cylinder", NetworkNode: "diamond"}
@@ -230,14 +292,9 @@ def emit_dot(model: ArchModel, opts: EmitOptions | None = None) -> str:
     opts = opts or EmitOptions()
     _checked(model)
 
-    nodes = _ordered_services(model, opts) + list(model.volumes) + list(model.networks)
-    idents: dict[str, str] = {}
-    taken: set[str] = set()
+    layout, idents = _layout(model, opts)
     lines = [f'digraph "{escape_quoted(model.title)}" {{', f"  rankdir={opts.direction};"]
-    for node in nodes:
-        ident = sanitize_ident(node.name, taken)
-        taken.add(ident)
-        idents[node.name] = ident
+    for node, ident in layout:
         attrs = [f"shape={_DOT_SHAPE[type(node)]}", f'label="{escape_quoted(node.name)}"']
         if node.phantom:
             attrs.append("style=dashed")
@@ -247,6 +304,7 @@ def emit_dot(model: ArchModel, opts: EmitOptions | None = None) -> str:
         if edge.kind is EdgeKind.MOUNT and edge.target is not None:
             attrs.append(f'label="{escape_quoted(edge.target)}"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {idents[edge.src]} -> {idents[edge.dst]}{suffix};")
+        src, dst = _endpoints(edge, idents)
+        lines.append(f"  {src} -> {dst}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

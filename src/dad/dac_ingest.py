@@ -169,11 +169,12 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
                 )
             saw_pass = True
             continue
-        if match := _CLUSTER_RE.fullmatch(line):
-            close_cluster()
-            open_cluster = (unescape_quoted(match.group(1)), lineno, [])
-            continue
-        if match := _NODE_RE.fullmatch(line):
+        # node lines are the only ones indented twice; cluster and edge lines
+        # are told apart by their own patterns
+        if line.startswith("    "):
+            match = _NODE_RE.fullmatch(line)
+            if match is None:
+                raise _diagnose(line, lineno)
             if open_cluster is None:
                 raise DacSyntaxError(
                     "node outside a cluster", lineno, col=5, expected="cluster header first"
@@ -190,6 +191,10 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
             )
             declared[ident] = node
             open_cluster[2].append(node)
+            continue
+        if match := _CLUSTER_RE.fullmatch(line):
+            close_cluster()
+            open_cluster = (unescape_quoted(match.group(1)), lineno, [])
             continue
         if match := _EDGE_RE.fullmatch(line):
             close_cluster()
@@ -284,15 +289,17 @@ def lift(ast: DacAst) -> ArchModel:
 
     edges: list[Edge] = []
     for edge in ast.edges:
-        annots = dict(edge.annotations)
-        unknown = set(annots) - {"target"}
-        if unknown:
-            raise LiftError(
-                f"line {edge.line}: edge annotation keys {sorted(unknown)} not understood"
-            )
+        target = None
+        if edge.annotations:
+            annots = dict(edge.annotations)
+            unknown = set(annots) - {"target"}
+            if unknown:
+                raise LiftError(
+                    f"line {edge.line}: edge annotation keys {sorted(unknown)} not understood"
+                )
+            target = annots.get("target")
         src_kind, src_name = resolve(edge.src)
         dst_kind, dst_name = resolve(edge.dst)
-        target = annots.get("target")
         if edge.op == ">>":
             if src_kind != "Server" or dst_kind != "Server":
                 raise LiftError(f"line {edge.line}: >> requires service endpoints")
@@ -326,6 +333,13 @@ def lift(ast: DacAst) -> ArchModel:
     )
     model.validate()
     return model
+
+
+def _mount_item(edge: Edge) -> str | dict:
+    # the short form splits on ":", so a target holding one needs the long form
+    if ":" in edge.target:
+        return {"type": "volume", "source": edge.dst, "target": edge.target}
+    return f"{edge.dst}:{edge.target}"
 
 
 def emit_compose(model: ArchModel) -> str:
@@ -372,7 +386,7 @@ def emit_compose(model: ArchModel) -> str:
         if EdgeKind.LINK in mine:
             body["links"] = [e.dst for e in mine[EdgeKind.LINK]]
         if EdgeKind.MOUNT in mine:
-            body["volumes"] = [f"{e.dst}:{e.target}" for e in mine[EdgeKind.MOUNT]]
+            body["volumes"] = [_mount_item(e) for e in mine[EdgeKind.MOUNT]]
         if EdgeKind.ATTACHMENT in mine:
             body["networks"] = [e.dst for e in mine[EdgeKind.ATTACHMENT]]
         services[node.name] = body or None

@@ -2,9 +2,9 @@
 
 Every test drives ``cli.main`` in process and asserts on exit codes and
 captured streams, so the exit-code contract (0 consistent, 1 inconsistent,
-2 invalid, 3 I/O) is pinned exactly where CI scripts would observe it. One
-test also runs ``dad check`` as a subprocess, to see that it ends by an exit
-code and not by a signal.
+2 invalid, 3 I/O, 4 internal error) is pinned exactly where CI scripts would
+observe it. Two tests also run ``dad check`` as a subprocess, to see that it
+ends by its exit code and not by a signal or a traceback.
 """
 
 import subprocess
@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def run(capsys, *argv):
@@ -422,6 +423,42 @@ class TestDeepNesting:
         # a negative return code would mean the process died of a signal
         assert proc.returncode == EXIT_INVALID, proc.stderr
         assert "nesting too deep" in proc.stdout
+
+
+class TestCrashExits:
+    def test_undecodable_input_is_invalid_subprocess(self, tmp_path):
+        path = tmp_path / "latin1.yml"
+        path.write_bytes(b"services:\n  caf\xe9:\n    image: x\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dad.cli", "check", "-i", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "not UTF-8" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("sub", ["generate", "invert", "diff"])
+    def test_undecodable_input_in_every_command(self, capsys, tmp_path, sub):
+        path = tmp_path / "bad.dac"
+        path.write_bytes(b"\xff\xfe")
+        argv = [sub, "-i", str(path)] + (["-i", str(path)] if sub == "diff" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVALID
+        assert err == f"error: DadError: {path} is not UTF-8 text: byte 0xff at offset 0\n"
+
+    def test_unexpected_exception_has_its_own_code(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "round_trip_check", broken)
+        code, out, err = run(capsys, "check", "-i", str(CORPUS / "dblog.yml"))
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("error: internal error: RuntimeError: boom\n")
 
 
 def cli_generate_text(capsys, path) -> str:

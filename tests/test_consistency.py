@@ -2,22 +2,28 @@
 
 import random
 import textwrap
+import time
+from collections import Counter
 
 import pytest
 
+from dad import consistency
 from dad.consistency import (
+    _KIND_ORDER,
     ConsistencyReport,
     DiffEntry,
     DiffKind,
     Verdict,
+    _diff_named_section,
     check_diagram_against_descriptor,
+    compare_models,
     diff_models,
     render_report,
     round_trip_check,
 )
 from dad.compose import lower, parse_compose
 from dad.dac_emit import emit_dac
-from dad.model import ArchModel, Edge, EdgeKind, ServiceNode, VolumeNode
+from dad.model import ArchModel, Edge, EdgeKind, NetworkNode, ServiceNode, VolumeNode, canonicalize
 
 from specgen import doc_to_yaml, gen_descriptor_doc, gen_model, mutate_model
 
@@ -336,3 +342,181 @@ def test_deep_nesting_is_invalid_not_a_crash(depth):
     report = round_trip_check("a: " + "[" * depth + "]" * depth + "\n")
     assert report.verdict is Verdict.INVALID
     assert "nesting too deep" in report.error
+
+
+def reference_diff_models(left: ArchModel, right: ArchModel) -> list[DiffEntry]:
+    """The original diff_models, which rescans every leftover edge per key."""
+    ca, cb = canonicalize(left), canonicalize(right)
+    entries: list[DiffEntry] = []
+
+    _diff_named_section("services", dict(ca.services), dict(cb.services), entries)
+    _diff_named_section(
+        "volumes", {n: () for n in ca.volumes}, {n: () for n in cb.volumes}, entries
+    )
+    _diff_named_section(
+        "networks", {n: () for n in ca.networks}, {n: () for n in cb.networks}, entries
+    )
+
+    left_edges, right_edges = Counter(ca.edges), Counter(cb.edges)
+    exact = left_edges & right_edges
+    left_rest, right_rest = left_edges - exact, right_edges - exact
+    keys = {e[:3] for e in left_rest} | {e[:3] for e in right_rest}
+    lt = sorted(left_rest.elements())
+    rt = sorted(right_rest.elements())
+    for kind, src, dst in sorted(keys):
+        subject = f"edges.{kind}.{src}->{dst}"
+        l_targets = [e[3] for e in lt if e[:3] == (kind, src, dst)]
+        r_targets = [e[3] for e in rt if e[:3] == (kind, src, dst)]
+        paired = min(len(l_targets), len(r_targets))
+        for lv, rv in zip(l_targets[:paired], r_targets[:paired]):
+            entries.append(
+                DiffEntry(DiffKind.ATTRIBUTE_MISMATCH, f"{subject}.target", left=lv, right=rv)
+            )
+        for lv in l_targets[paired:]:
+            entries.append(DiffEntry(DiffKind.MISSING_EDGE, subject, left=lv))
+        for rv in r_targets[paired:]:
+            entries.append(DiffEntry(DiffKind.EXTRA_EDGE, subject, right=rv))
+
+    entries.sort(key=lambda e: (_KIND_ORDER[e.kind], e.subject))
+    return entries
+
+
+# "a->b" - "c" and "a" - "b->c" share the subject edges.link.a->b->c
+TRICKY_NAMES = ["a", "b", "c", "a->b", "b->c", "db", "web"]
+TARGETS = ["/a", "/b", "/a:b", "", "/data"]
+
+
+def random_side(rng: random.Random) -> ArchModel:
+    """A model with duplicate edges and several mounts of one (src, dst); not validated."""
+    services = tuple(
+        ServiceNode(name, image=rng.choice(["x", "y", None]))
+        for name in rng.sample(TRICKY_NAMES, rng.randint(1, len(TRICKY_NAMES)))
+    )
+    volumes = tuple(VolumeNode(n) for n in rng.sample(["v", "w", "a->b"], rng.randint(0, 3)))
+    networks = tuple(NetworkNode(n) for n in rng.sample(["n", "m"], rng.randint(0, 2)))
+    edges = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.choice(list(EdgeKind))
+        src, dst = rng.choice(TRICKY_NAMES), rng.choice(TRICKY_NAMES + ["v", "w", "n"])
+        target = rng.choice(TARGETS) if kind is EdgeKind.MOUNT else None
+        edges.extend([Edge(kind, src, dst, target)] * rng.choice([1, 1, 1, 2, 3]))
+    return ArchModel(services=services, volumes=volumes, networks=networks, edges=tuple(edges))
+
+
+def drifted(rng: random.Random, model: ArchModel) -> ArchModel:
+    edges = []
+    for edge in model.edges:
+        roll = rng.random()
+        if roll < 0.15:
+            continue
+        if roll < 0.3:
+            edges.append(edge)
+        if edge.kind is EdgeKind.MOUNT and roll < 0.6:
+            edge = Edge(edge.kind, edge.src, edge.dst, rng.choice(TARGETS))
+        edges.append(edge)
+    edges.extend(random_side(rng).edges[: rng.randint(0, 5)])
+    rng.shuffle(edges)
+    return ArchModel(
+        services=random_side(rng).services if rng.random() < 0.3 else model.services,
+        volumes=model.volumes,
+        networks=model.networks,
+        edges=tuple(edges),
+    )
+
+
+class TestDiffModelsEquivalence:
+    def test_matches_the_rescanning_reference(self):
+        for seed in range(500):
+            rng = random.Random(seed)
+            left = random_side(rng)
+            right = drifted(rng, left) if rng.random() < 0.8 else random_side(rng)
+            assert diff_models(left, right) == reference_diff_models(left, right), seed
+            assert diff_models(right, left) == reference_diff_models(right, left), seed
+
+    def test_several_mounts_of_one_pair(self):
+        base = dict(services=(ServiceNode("app", image="x"),), volumes=(VolumeNode("data"),))
+        left = ArchModel(
+            edges=tuple(Edge(EdgeKind.MOUNT, "app", "data", t) for t in ("/c", "/a", "/a", "/b")),
+            **base,
+        )
+        right = ArchModel(
+            edges=tuple(Edge(EdgeKind.MOUNT, "app", "data", t) for t in ("/a", "/z", "/y")),
+            **base,
+        )
+        subject = "edges.mount.app->data"
+        expected = [
+            DiffEntry(DiffKind.MISSING_EDGE, subject, left="/c"),
+            DiffEntry(DiffKind.ATTRIBUTE_MISMATCH, f"{subject}.target", left="/a", right="/y"),
+            DiffEntry(DiffKind.ATTRIBUTE_MISMATCH, f"{subject}.target", left="/b", right="/z"),
+        ]
+        assert diff_models(left, right) == expected == reference_diff_models(left, right)
+
+
+def drifted_pair(n: int) -> tuple[ArchModel, ArchModel]:
+    """n services with two mounts each; the right side moves every other target."""
+    services = tuple(ServiceNode(f"s{i}", image="x") for i in range(n))
+    volumes = tuple(VolumeNode(f"v{i}") for i in range(max(2, n // 3)))
+    left_edges, right_edges = [], []
+    for i, svc in enumerate(services):
+        for j in (i % len(volumes), (i + 1) % len(volumes)):
+            edge = Edge(EdgeKind.MOUNT, svc.name, volumes[j].name, f"/data/{j}/{i}")
+            left_edges.append(edge)
+            moved = Edge(edge.kind, edge.src, edge.dst, edge.target + "/moved")
+            right_edges.append(moved if (i + j) % 2 else edge)
+    left = ArchModel(services=services, volumes=volumes, edges=tuple(left_edges))
+    right = ArchModel(services=services, volumes=volumes, edges=tuple(right_edges))
+    return left, right
+
+
+def test_diff_models_is_linear_in_leftover_edges():
+    def best_of_3(pair) -> float:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            diff_models(*pair)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = best_of_3(drifted_pair(200)), best_of_3(drifted_pair(4000))
+    # 20x the services: linear cost is ~20x, the per-key rescan ~400x
+    assert large < 100 * small, f"200 services {small * 1e3:.1f} ms, 4000 services {large * 1e3:.1f} ms"
+
+
+def test_compare_models_canonicalizes_each_side_once(monkeypatch):
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return canonicalize(model)
+
+    monkeypatch.setattr(consistency, "canonicalize", counting)
+    left, right = drifted_pair(10)
+    report = compare_models(left, right)
+    assert calls == [left, right]
+    assert report.stats.left_edges == report.stats.right_edges == 20
+    assert report.issues == tuple(reference_diff_models(left, right))
+
+
+class TestRoundTripEdgeCases:
+    def test_mount_target_with_colon_is_consistent(self):
+        text = textwrap.dedent(
+            """\
+            services:
+              app:
+                image: x
+                volumes:
+                  - type: volume
+                    source: data
+                    target: "/a:b"
+            volumes:
+              data:
+            """
+        )
+        report = round_trip_check(text)
+        assert report.verdict is Verdict.CONSISTENT, render_report(report)
+
+    def test_newline_in_service_name_is_consistent(self):
+        text = 'services:\n  "a\\nb":\n    image: x\n  c:\n    image: y\n    depends_on: ["a\\nb"]\n'
+        assert "a\nb" in {s.name for s in lower(parse_compose(text)).services}
+        report = round_trip_check(text)
+        assert report.verdict is Verdict.CONSISTENT, render_report(report)

@@ -3,8 +3,11 @@ totality, identifier sanitization, role grouping, annotation encoding."""
 
 import random
 import re
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dad.dac_emit import (
     DEFAULT_ROLE_TABLE,
@@ -18,6 +21,8 @@ from dad.dac_emit import (
     sanitize_ident,
     unescape_quoted,
 )
+from dad.consistency import Verdict, round_trip_check
+from dad.dac_ingest import lift, parse_dac
 from dad.errors import EmitError
 from dad.model import ArchModel, BuildRef, Edge, EdgeKind, NetworkNode, ServiceNode, VolumeNode, canonicalize
 
@@ -309,3 +314,102 @@ class TestEmitDot:
     def test_rankdir_follows_direction(self):
         model = ArchModel(title="t")
         assert "  rankdir=LR;" in emit_dot(model, EmitOptions(direction="LR"))
+
+
+class TestControlCharacters:
+    @given(st.text())
+    def test_unescape_inverts_escape(self, raw):
+        assert unescape_quoted(escape_quoted(raw)) == raw
+
+    @given(st.text())
+    def test_escaped_text_has_no_control_characters(self, raw):
+        escaped = escape_quoted(raw)
+        assert not re.search(r"[\x00-\x1f\x7f-\x9f]", escaped)
+        assert re.fullmatch(r'(?:[^"\\]|\\.)*', escaped)
+
+    @given(st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs"))))
+    def test_text_without_control_characters_keeps_its_bytes(self, raw):
+        assert escape_quoted(raw) == raw.replace("\\", "\\\\").replace('"', '\\"')
+
+    def test_named_and_hex_escapes(self):
+        assert escape_quoted("a\nb\rc\td\x00e\x7f") == "a\\nb\\rc\\td\\x00e\\x7f"
+        assert unescape_quoted("\\q\\x4") == "qx4"
+
+    def test_newline_in_names_survives_the_script(self):
+        model = ArchModel(
+            title="two\nlines",
+            services=(ServiceNode("a\nb", image="x"), ServiceNode("c\rd\x01", image="y")),
+            edges=(Edge(EdgeKind.DEPENDENCY, "a\nb", "c\rd\x01"),),
+        )
+        script = emit_dac(model)
+        assert len(script.text.splitlines()) == 6
+        lifted = lift(parse_dac(script.text))
+        assert lifted.title == model.title
+        assert canonicalize(lifted) == canonicalize(model)
+        assert '"a\\nb"' in emit_dot(model)
+
+
+def sequential_idents(model: ArchModel) -> list[str]:
+    taken: set[str] = set()
+    idents = []
+    for node in (*model.services, *model.volumes, *model.networks):
+        idents.append(sanitize_ident(node.name, taken))
+        taken.add(idents[-1])
+    return idents
+
+
+class TestIdentifierAssignment:
+    def test_matches_sanitize_ident_in_turn(self):
+        rng = random.Random(12)
+        pool = ["x", "X.", "x_", "x_2", "x-2", "x_3", "x_2_2", "x__", "2", "_2", "é", "x é"]
+        for _ in range(200):
+            names = rng.sample(pool, rng.randint(1, len(pool)))
+            model = ArchModel(
+                services=tuple(ServiceNode(n) for n in names),
+                volumes=tuple(VolumeNode(n) for n in rng.sample(pool, 3)),
+            )
+            got = [ident for ident, _, _ in emit_dac(model).identifiers]
+            assert got == sequential_idents(model)
+
+    def test_literal_suffix_name_is_never_reused(self):
+        model = ArchModel(services=tuple(ServiceNode(n) for n in ("x-", "x_2", "x.", "x!")))
+        idents = [ident for ident, _, _ in emit_dac(model).identifiers]
+        assert idents == ["x_", "x_2", "x__2", "x__3"]
+
+    def test_service_and_volume_may_share_a_name(self):
+        text = (
+            "services:\n"
+            "  web:\n    image: nginx\n    depends_on: [db]\n    volumes: [\"db:/var/db\"]\n"
+            "  db:\n    image: mysql\n"
+            "volumes:\n  db:\n"
+        )
+        report = round_trip_check(text)
+        assert report.verdict is Verdict.CONSISTENT, report
+        model = ArchModel(
+            services=(ServiceNode("web"), ServiceNode("db")),
+            volumes=(VolumeNode("db"),),
+            edges=(Edge(EdgeKind.DEPENDENCY, "web", "db"), Edge(EdgeKind.MOUNT, "web", "db", "/v")),
+        )
+        assert "  web >> db\n  web - db_2  # target=/v\n" in emit_dac(model).text
+        assert "  web -> db;" in emit_dot(model) and "  web -> db_2 [" in emit_dot(model)
+
+    def test_names_sharing_a_base_cost_linear_time(self):
+        def model(n: int) -> ArchModel:
+            # every name sanitizes to "x_"
+            return ArchModel(services=tuple(ServiceNode("x" + chr(0x100 + i)) for i in range(n)))
+
+        def best_of_3(emit, model: ArchModel) -> float:
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                emit(model)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = model(200), model(4000)
+        for emit in (emit_dac, emit_dot):
+            t_small, t_large = best_of_3(emit, small), best_of_3(emit, large)
+            # 20x the nodes: linear cost is ~20x, probing every suffix from 2 ~400x
+            assert t_large < 100 * t_small, (
+                f"{emit.__name__}: 200 names {t_small * 1e3:.1f} ms, 4000 names {t_large * 1e3:.1f} ms"
+            )
