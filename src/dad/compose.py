@@ -16,8 +16,16 @@ import re
 from dataclasses import dataclass, field
 
 import yaml
-from yaml.composer import Composer
 from yaml.constructor import SafeConstructor
+from yaml.events import (
+    AliasEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 from .errors import ComposeSyntaxError, LoweringError, SchemaError
@@ -87,20 +95,11 @@ def issues_ok(issues: list[ValidationIssue]) -> bool:
 if yaml.__with_libyaml__:
     from yaml._yaml import CParser
 
-    class _LoaderBase(CParser, Composer, SafeConstructor, Resolver):
-        """libyaml's event parser under PyYAML's composer, constructor and resolver.
-
-        libyaml's own composer recurses on the C stack, so a deeply nested
-        document kills the process; PyYAML's composer stops at the Python
-        recursion limit with a RecursionError instead. ``yaml.load`` composes
-        through ``get_single_node``, so that one must not come from CParser.
-        """
-
-        get_single_node = Composer.get_single_node
+    class _LoaderBase(CParser, SafeConstructor, Resolver):
+        """libyaml's event parser with PyYAML's scalar constructors and resolver."""
 
         def __init__(self, stream):
             CParser.__init__(self, stream)
-            Composer.__init__(self)
             SafeConstructor.__init__(self)
             Resolver.__init__(self)
 
@@ -109,64 +108,262 @@ else:
     _LoaderBase = yaml.SafeLoader
     _DumperBase = yaml.SafeDumper
 
-_MERGE_TAG = "tag:yaml.org,2002:merge"
-
 
 class _UniqueKeyLoader(_LoaderBase):
-    """Safe loader that rejects duplicate mapping keys instead of silently merging."""
+    """Event source of ``_load_yaml``; ``_build`` makes the objects itself.
+
+    Only its parser, its resolver (tags of plain scalars) and its scalar
+    constructors are used; PyYAML's composer and collection constructors are not.
+    """
 
 
-def _construct_pairs(loader: _UniqueKeyLoader, pairs, unique: bool) -> dict:
-    mapping = {}
-    for key_node, value_node in pairs:
-        key = loader.construct_object(key_node)
-        try:
-            duplicate = key in mapping
-        except TypeError:
-            raise ComposeSyntaxError(
-                f"unhashable mapping key {key!r}",
-                key_node.start_mark.line + 1,
-                key_node.start_mark.column + 1,
-            ) from None
-        if duplicate and unique:
-            raise ComposeSyntaxError(
-                f"duplicate mapping key {key!r}",
-                key_node.start_mark.line + 1,
-                key_node.start_mark.column + 1,
-            )
-        mapping[key] = loader.construct_object(value_node)
-    return mapping
+# Collections open at once. The limit keeps deep input from exhausting the
+# Python stack of whoever walks the loaded document (the dumper recurses).
+_MAX_DEPTH = 100
+
+_STR_TAG = "tag:yaml.org,2002:str"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+_MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
+_SEQ_TAGS = (None, "!", "tag:yaml.org,2002:seq")
+_SET_TAG = "tag:yaml.org,2002:set"
+_PAIR_LIST_TAGS = ("tag:yaml.org,2002:omap", "tag:yaml.org,2002:pairs")
+
+_ITEM = object()  # the key of every open sequence
+_KEY = object()  # an open mapping waits for a key
+_MERGE = object()  # an open mapping waits for the value of a merge key (<<)
 
 
-def _construct_mapping(loader: _UniqueKeyLoader, node):
-    # Only the mapping's own keys must be unique; merge keys (<<) bring in
-    # defaults that its explicit keys override (https://yaml.org/type/merge.html).
-    explicit = [pair for pair in node.value if pair[0].tag != _MERGE_TAG]
-    mapping = _construct_pairs(loader, explicit, unique=True)
-    if len(explicit) == len(node.value):
-        return mapping
-    loader.flatten_mapping(node)
-    return _construct_pairs(loader, node.value, unique=False)
+class _Open:
+    """A collection whose end event has not come yet.
+
+    ``value`` is the object the collection loads as; an alias inside the
+    collection already returns it. Children go into ``items``, which is the
+    same object except for ``!!set``, whose keys are gathered in a dict first.
+    ``key`` is ``_ITEM`` for sequences; a mapping holds ``_KEY``, ``_MERGE`` or
+    the key whose value comes next. ``check`` maps each item of a sequence before
+    it is appended. ``cycle_ok`` is true where an alias below may point to a
+    mapping still open above (PyYAML filled these collections last).
+    """
+
+    __slots__ = ("value", "items", "mark", "key", "unique", "check", "cycle_ok", "merges")
+
+    def __init__(self, value, items, mark, key, unique=True, check=None, cycle_ok=True):
+        self.value = value
+        self.items = items
+        self.mark = mark
+        self.key = key
+        self.unique = unique
+        self.check = check
+        self.cycle_ok = cycle_ok
+        self.merges = None
 
 
-_UniqueKeyLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
-)
+def _syntax_error(problem: str, mark) -> ComposeSyntaxError:
+    return ComposeSyntaxError(problem, mark.line + 1, mark.column + 1)
+
+
+def _kind(value) -> str:
+    if isinstance(value, (dict, set)):
+        return "mapping"
+    return "sequence" if isinstance(value, list) else "scalar"
+
+
+def _merge_source(item, mark):
+    if type(item) is not dict:
+        raise _syntax_error(f"expected a mapping for merging, but found {_kind(item)}", mark)
+    return item
+
+
+def _single_pair(item, mark):
+    """An item of ``!!omap`` or ``!!pairs``: a one-key mapping, kept as a tuple."""
+    if type(item) is not dict:
+        raise _syntax_error(f"expected a mapping of length 1, but found {_kind(item)}", mark)
+    if len(item) != 1:
+        raise _syntax_error(f"expected a single mapping item, but found {len(item)} items", mark)
+    return next(iter(item.items()))
+
+
+def _open(event, parent: _Open | None) -> _Open:
+    """The collection a start event opens; its tag picks what it loads as."""
+    tag, mark = event.tag, event.start_mark
+    merge_value = parent is not None and parent.key is _MERGE
+    if event.__class__ is MappingStartEvent:
+        if tag in _MAP_TAGS:
+            # the sources of a merge key (<<) may repeat keys, as PyYAML allowed
+            unique = not (merge_value or (parent is not None and parent.check is _merge_source))
+            mapping: dict = {}
+            return _Open(mapping, mapping, mark, _KEY, unique=unique, cycle_ok=False)
+        if tag == _SET_TAG:
+            return _Open(set(), {}, mark, _KEY, unique=False)
+        kind = "mapping"
+    else:
+        if tag in _SEQ_TAGS:
+            sequence: list = []
+            if merge_value:
+                return _Open(sequence, sequence, mark, _ITEM, check=_merge_source, cycle_ok=False)
+            return _Open(sequence, sequence, mark, _ITEM)
+        if tag in _PAIR_LIST_TAGS:
+            pairs: list = []
+            return _Open(pairs, pairs, mark, _ITEM, check=_single_pair)
+        kind = "sequence"
+    raise _syntax_error(f"could not determine a constructor for the tag {tag!r} on a {kind}", mark)
+
+
+def _construct_scalar(loader: _UniqueKeyLoader, tag: str, event):
+    construct = SafeConstructor.yaml_constructors.get(tag, SafeConstructor.construct_undefined)
+    node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, style=event.style)
+    try:
+        return construct(loader, node)
+    except yaml.YAMLError:
+        raise
+    except Exception as exc:  # e.g. int("abc") for !!int 'abc': the input is at fault
+        raise _syntax_error(f"cannot read {event.value!r} as {tag}", event.start_mark) from exc
+
+
+def _add_merge(mapping: _Open, value, mark) -> None:
+    """Queue the sources of a merge key; ``_apply_merges`` runs at the mapping's end."""
+    if type(value) is dict:
+        sources = [value]
+    elif type(value) is list:
+        sources = [_merge_source(item, mark) for item in value]
+        sources.reverse()  # the earlier mapping of a list wins
+    else:
+        raise _syntax_error(
+            f"expected a mapping or list of mappings for merging, but found {_kind(value)}", mark
+        )
+    if mapping.merges is None:
+        mapping.merges = sources
+    else:
+        mapping.merges.extend(sources)
+
+
+def _apply_merges(mapping: _Open) -> None:
+    # merged keys come first; a later source overrides an earlier one and
+    # the mapping's own keys override them all (https://yaml.org/type/merge.html)
+    merged: dict = {}
+    for source in mapping.merges:
+        merged.update(source)
+    merged.update(mapping.items)
+    mapping.items.clear()
+    mapping.items.update(merged)
+
+
+def _refuse_cycle(stack: list[_Open], target: _Open, merging: bool) -> None:
+    """Refuse an alias to an open collection that cannot hold it yet.
+
+    That is an open mapping reached through mappings only, or any open
+    collection as the value of a merge key, whose items are not all known.
+    """
+    for frame in reversed(stack):
+        if frame is target:
+            if merging or not target.cycle_ok:
+                raise _syntax_error("found unconstructable recursive node", target.mark)
+            return
+        if frame.cycle_ok and not merging:
+            return
+
+
+def _build(loader: _UniqueKeyLoader):
+    """Build the stream's one document from its events on an explicit stack.
+
+    Mapping keys must be hashable and unique; aliases return the anchored
+    object itself. Nothing recurses, and more than ``_MAX_DEPTH`` open
+    collections raise ``ComposeSyntaxError("nesting too deep")``.
+    """
+    get_event, resolve = loader.get_event, loader.resolve
+    get_event()  # StreamStartEvent
+    if get_event().__class__ is StreamEndEvent:  # else it was the DocumentStartEvent
+        return None
+    anchors: dict[str, tuple] = {}  # name -> (object, start mark, _Open of a collection)
+    stack: list[_Open] = []
+    top = None
+    while True:
+        event = get_event()
+        cls = event.__class__
+        if cls is ScalarEvent:
+            value, tag, mark = event.value, event.tag, event.start_mark
+            if tag is None or tag == "!":
+                tag = resolve(ScalarNode, value, event.implicit)
+            anchor = event.anchor
+            if anchor is not None and anchor in anchors:
+                raise _syntax_error(f"found duplicate anchor {anchor!r}", mark)
+            if tag != _STR_TAG:
+                if tag == _MERGE_TAG and top is not None and top.key is _KEY:
+                    top.key = _MERGE
+                    continue
+                value = _construct_scalar(loader, tag, event)
+            if anchor is not None:
+                anchors[anchor] = (value, mark, None)
+        elif cls is MappingEndEvent or cls is SequenceEndEvent:
+            done = stack.pop()
+            if done.merges is not None:
+                _apply_merges(done)
+            value, mark = done.value, done.mark
+            if value is not done.items:
+                value.update(done.items)  # !!set
+            top = stack[-1] if stack else None
+        elif cls is AliasEvent:
+            try:
+                value, mark, target = anchors[event.anchor]
+            except KeyError:
+                raise _syntax_error(f"found undefined alias {event.anchor!r}", event.start_mark) from None
+            if target is not None:
+                _refuse_cycle(stack, target, top is not None and top.key is _MERGE)
+        else:  # MappingStartEvent or SequenceStartEvent
+            if len(stack) == _MAX_DEPTH:
+                raise ComposeSyntaxError("nesting too deep")
+            anchor = event.anchor
+            if anchor is not None and anchor in anchors:
+                raise _syntax_error(f"found duplicate anchor {anchor!r}", event.start_mark)
+            top = _open(event, top)
+            stack.append(top)
+            if anchor is not None:
+                anchors[anchor] = (top.value, top.mark, top)
+            continue
+
+        # hand the finished node to the collection that holds it
+        if top is None:
+            break
+        key = top.key
+        if key is _ITEM:
+            if top.check is not None:
+                value = top.check(value, mark)
+            top.items.append(value)
+        elif key is _KEY:
+            try:
+                duplicate = value in top.items
+            except TypeError:
+                raise _syntax_error(f"unhashable mapping key {value!r}", mark) from None
+            if duplicate and top.unique:
+                raise _syntax_error(f"duplicate mapping key {value!r}", mark)
+            top.key = value
+        else:
+            top.key = _KEY
+            if key is _MERGE:
+                _add_merge(top, value, mark)
+            else:
+                top.items[key] = value
+
+    get_event()  # DocumentEndEvent
+    event = get_event()
+    if event.__class__ is not StreamEndEvent:
+        raise _syntax_error("expected a single document in the stream", event.start_mark)
+    return value
 
 
 def _load_yaml(text: str):
+    """The single YAML document in ``text`` (None when there is none)."""
+    loader = _UniqueKeyLoader(text)
     try:
-        return yaml.load(text, Loader=_UniqueKeyLoader)
-    except ComposeSyntaxError:
-        raise
-    except RecursionError:
-        raise ComposeSyntaxError("nesting too deep") from None
+        return _build(loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "invalid YAML"
         if mark is not None:
             raise ComposeSyntaxError(problem, mark.line + 1, mark.column + 1) from exc
         raise ComposeSyntaxError(problem) from exc
+    finally:
+        loader.dispose()
 
 
 def _require_str(value, path: str) -> str:
@@ -572,12 +769,18 @@ def _service_body(groups: dict[ResiduePath, dict], name: str, entry: ServiceEntr
     return body or None
 
 
+def needs_long_mount(target: str) -> bool:
+    """The short form ``volume:target[:mode]`` would drop this target or split it."""
+    return not target or ":" in target
+
+
 def _mount_item(groups: dict[ResiduePath, dict], owner: ResiduePath, mount: MountRef):
     extras = groups.get((*owner, "volumes", f"{mount.volume}:{mount.target}"), {})
-    if not extras and ":" not in mount.target:
-        return f"{mount.volume}:{mount.target}"
-    if set(extras) == {"mode"} and ":" not in mount.target:
-        return f"{mount.volume}:{mount.target}:{extras['mode']}"
+    if not needs_long_mount(mount.target):
+        if not extras:
+            return f"{mount.volume}:{mount.target}"
+        if set(extras) == {"mode"}:
+            return f"{mount.volume}:{mount.target}:{extras['mode']}"
     item = {"type": "volume", "source": mount.volume, "target": mount.target}
     item.update(extras)
     return item

@@ -336,8 +336,7 @@ def lift(ast: DacAst) -> ArchModel:
 
 
 def _mount_item(edge: Edge) -> str | dict:
-    # the short form splits on ":", so a target holding one needs the long form
-    if ":" in edge.target:
+    if compose.needs_long_mount(edge.target):
         return {"type": "volume", "source": edge.dst, "target": edge.target}
     return f"{edge.dst}:{edge.target}"
 

@@ -425,6 +425,41 @@ class TestDeepNesting:
         assert "nesting too deep" in proc.stdout
 
 
+class TestIllTypedScalars:
+    @pytest.mark.parametrize(
+        "text", ["a: !!int 'abc'\n", "a: !!float 'x'\n", "a: !!bool 'maybe'\n", "a: !!timestamp 'x'\n"]
+    )
+    def test_check_is_invalid(self, capsys, tmp_path, yaml_backend, text):
+        path = tmp_path / "tagged.yml"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", "-i", str(path))
+        assert code == EXIT_INVALID
+        assert out.startswith("verdict: Invalid\n") and "(line 1, col 4)" in out
+        assert err == ""
+
+
+# A long-syntax mount whose target is the empty string.
+EMPTY_MOUNT_TARGET = """\
+services:
+  app:
+    image: nginx
+    volumes:
+      - type: volume
+        source: data
+        target: ""
+volumes:
+  data:
+"""
+
+
+def test_empty_mount_target_round_trips_consistent(capsys, tmp_path):
+    path = tmp_path / "empty_target.yml"
+    path.write_text(EMPTY_MOUNT_TARGET, encoding="utf-8")
+    code, out, err = run(capsys, "check", "-i", str(path))
+    assert code == EXIT_OK, out
+    assert out.startswith("verdict: Consistent\n")
+
+
 class TestCrashExits:
     def test_undecodable_input_is_invalid_subprocess(self, tmp_path):
         path = tmp_path / "latin1.yml"

@@ -394,6 +394,23 @@ class TestSerialize:
             spec = parse_compose(doc_to_yaml(gen_descriptor_doc(rng)))
             assert parse_compose(serialize_compose(spec)) == spec
 
+    def test_empty_mount_target_stays_retained(self):
+        spec = parse_compose(
+            "services:\n  app:\n    image: nginx\n    volumes:\n"
+            "      - {type: volume, source: data, target: ''}\n"
+            "      - {type: volume, source: logs, target: '', read_only: true}\n"
+            "volumes:\n  data:\n  logs:\n"
+        )
+        assert spec.services["app"].volumes == [MountRef("data", ""), MountRef("logs", "")]
+        assert parse_compose(serialize_compose(spec)) == spec
+
+    def test_mode_short_form_needs_a_target(self):
+        spec = parse_compose("services:\n  app:\n    image: a\n    volumes: [data:/srv:ro]\n")
+        assert serialize_compose(spec).count("data:/srv:ro") == 1
+        spec.services["app"].volumes = [MountRef("data", "")]
+        spec.residue = {("services", "app", "volumes", "data:", "mode"): "ro"}
+        assert parse_compose(serialize_compose(spec)) == spec
+
     def test_empty_spec_serializes_to_empty_services_map(self):
         assert serialize_compose(parse_compose("")) == "services: {}\n"
 

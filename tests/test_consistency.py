@@ -344,6 +344,23 @@ def test_deep_nesting_is_invalid_not_a_crash(depth):
     assert "nesting too deep" in report.error
 
 
+ILL_TYPED_SCALARS = [
+    "a: !!int 'abc'\n",
+    "a: !!float 'x'\n",
+    "a: !!bool 'maybe'\n",
+    "a: !!timestamp 'x'\n",
+    "a: !!int\n",
+    "a: !!timestamp 2001-02-30\n",
+]
+
+
+@pytest.mark.parametrize("text", ILL_TYPED_SCALARS)
+def test_ill_typed_tagged_scalar_is_invalid_not_a_crash(yaml_backend, text):
+    report = round_trip_check(text)
+    assert report.verdict is Verdict.INVALID
+    assert report.error.endswith("(line 1, col 4)")
+
+
 def reference_diff_models(left: ArchModel, right: ArchModel) -> list[DiffEntry]:
     """The original diff_models, which rescans every leftover edge per key."""
     ca, cb = canonicalize(left), canonicalize(right)

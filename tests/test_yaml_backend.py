@@ -1,19 +1,18 @@
 """The libyaml and pure-Python YAML backends of ``dad.compose`` agree.
 
-``dad.compose`` parses and dumps through libyaml when PyYAML was built with
-it. ``python_backend`` reloads the module as if PyYAML had no libyaml and
-restores the original module afterwards, so each test can compare the two.
-Only the wording of syntax errors may differ between backends.
+``backends.python_backend`` reloads the module as if PyYAML had no libyaml,
+so each test can compare the two. Only the wording of syntax errors may
+differ between backends.
 """
 
-import contextlib
-import importlib
 import random
 import time
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dad import compose
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, spec_to_mapping
@@ -21,30 +20,10 @@ from dad.dac_ingest import emit_compose
 from dad.errors import ComposeSyntaxError, DadError
 from dad.model import BuildRef
 
+from backends import on_both_backends, python_backend
 from specgen import doc_to_yaml, gen_descriptor_doc
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
-@contextlib.contextmanager
-def python_backend():
-    """Reload dad.compose with libyaml switched off; restore it on exit."""
-    saved = dict(vars(compose))
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(yaml, "__with_libyaml__", False)
-            importlib.reload(compose)
-            yield
-    finally:
-        vars(compose).clear()
-        vars(compose).update(saved)
-
-
-def on_both_backends(fn):
-    native = fn()
-    with python_backend():
-        pure = fn()
-    return native, pure
 
 
 def test_backend_follows_libyaml_availability():
@@ -164,4 +143,297 @@ def test_spec_to_mapping_is_linear_in_services():
 
     small, large = best_of_3(residue_heavy_spec(200)), best_of_3(residue_heavy_spec(4000))
     # 20x the services: linear cost is ~20x, the old per-service residue scan ~400x
+    assert large < 100 * small, f"200 services {small * 1e3:.1f} ms, 4000 services {large * 1e3:.1f} ms"
+
+
+# The loader dad used before it built documents straight from parser events:
+# PyYAML's composer and SafeConstructor with a duplicate-key check. It is the
+# reference the event builder must agree with.
+def _reference_construct_pairs(loader, pairs, unique: bool) -> dict:
+    mapping = {}
+    for key_node, value_node in pairs:
+        key = loader.construct_object(key_node)
+        try:
+            duplicate = key in mapping
+        except TypeError:
+            raise ComposeSyntaxError(
+                f"unhashable mapping key {key!r}",
+                key_node.start_mark.line + 1,
+                key_node.start_mark.column + 1,
+            ) from None
+        if duplicate and unique:
+            raise ComposeSyntaxError(
+                f"duplicate mapping key {key!r}",
+                key_node.start_mark.line + 1,
+                key_node.start_mark.column + 1,
+            )
+        mapping[key] = loader.construct_object(value_node)
+    return mapping
+
+
+def _reference_construct_mapping(loader, node):
+    explicit = [pair for pair in node.value if pair[0].tag != "tag:yaml.org,2002:merge"]
+    mapping = _reference_construct_pairs(loader, explicit, unique=True)
+    if len(explicit) == len(node.value):
+        return mapping
+    loader.flatten_mapping(node)
+    return _reference_construct_pairs(loader, node.value, unique=False)
+
+
+class _ReferencePythonLoader(yaml.SafeLoader):
+    pass
+
+
+_REFERENCE_LOADERS = [_ReferencePythonLoader]
+if yaml.__with_libyaml__:
+    from yaml._yaml import CParser
+    from yaml.composer import Composer
+    from yaml.constructor import SafeConstructor
+    from yaml.resolver import Resolver
+
+    class _ReferenceLibyamlLoader(CParser, Composer, SafeConstructor, Resolver):
+        get_single_node = Composer.get_single_node
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+    _REFERENCE_LOADERS.append(_ReferenceLibyamlLoader)
+
+for _loader in _REFERENCE_LOADERS:
+    _loader.add_constructor("tag:yaml.org,2002:map", _reference_construct_mapping)
+
+
+def reference_load(text: str):
+    """Load ``text`` with the reference loader of the backend now in use."""
+    loader = _REFERENCE_LOADERS[-1] if yaml.__with_libyaml__ else _ReferencePythonLoader
+    try:
+        return yaml.load(text, Loader=loader)
+    except ComposeSyntaxError:
+        raise
+    except RecursionError:
+        raise ComposeSyntaxError("nesting too deep") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        if mark is not None:
+            raise ComposeSyntaxError(str(exc.problem), mark.line + 1, mark.column + 1) from exc
+        raise ComposeSyntaxError("invalid YAML") from exc
+
+
+def assert_same(left, right, seen: dict | None = None) -> None:
+    """Equal values of the same types, with shared objects (aliases) in the same places."""
+    seen = {} if seen is None else seen
+    assert type(left) is type(right), (left, right)
+    if isinstance(left, (dict, list, set)):
+        if id(left) in seen or id(right) in seen:
+            assert seen.get(id(left)) is right and seen.get(id(right)) is left
+            return
+        seen[id(left)], seen[id(right)] = right, left
+    if isinstance(left, dict):
+        assert len(left) == len(right), (left, right)
+        for (lkey, lvalue), (rkey, rvalue) in zip(left.items(), right.items()):
+            assert_same(lkey, rkey, seen)
+            assert_same(lvalue, rvalue, seen)
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right), (left, right)
+        for litem, ritem in zip(left, right):
+            assert_same(litem, ritem, seen)
+    elif isinstance(left, set):
+        assert sorted(map(repr, left)) == sorted(map(repr, right))
+    elif isinstance(left, float) and left != left:
+        assert right != right
+    else:
+        assert left == right, (left, right)
+
+
+def assert_loads_like_reference(text: str) -> None:
+    try:
+        expected = reference_load(text)
+    except ComposeSyntaxError as exc:
+        with pytest.raises(ComposeSyntaxError) as err:
+            compose._load_yaml(text)
+        assert (err.value.line, err.value.col) == (exc.line, exc.col), (text, str(err.value), str(exc))
+        return
+    assert_same(compose._load_yaml(text), expected)
+
+
+PARITY_INPUTS = {
+    "merge single": "base: &b {image: a, restart: always}\nweb:\n  <<: *b\n  image: c\n",
+    "merge list": "a: &a {x: 1, p: 1}\nb: &b {y: 2, p: 2}\nc:\n  z: 3\n  <<: [*a, *b]\n",
+    "merge repeated": "a: &a {x: 1}\nb: &b {x: 2, y: 2}\nc:\n  <<: *a\n  <<: *b\n  z: 3\n",
+    "merge nested": "a: &a {x: 1}\nb: &b {<<: *a, y: 2}\nc: {<<: *b, z: 3}\n",
+    "merge inline": "c:\n  <<: {<<: {x: 1, x: 2}, y: 1}\n  <<: [{p: 1, p: 2}, {q: 1}]\n",
+    "merge keeps identity": "a: &a {x: [1]}\nb: {<<: *a}\nc: *a\n",
+    "merge explicit duplicate": "a: &a {x: 1}\nb:\n  <<: *a\n  y: 1\n  y: 2\n",
+    "merge scalar source": "a: &a 1\nb:\n  <<: *a\n",
+    "merge sequence source": "b:\n  <<: [1, 2]\n",
+    "merge non-mapping in list": "a: &a {x: 1}\nb:\n  <<: [*a, 3]\n",
+    "merge null source": "b:\n  <<:\n",
+    "quoted merge key": "a:\n  '<<': {x: 1}\n  \"<<\": 2\n",
+    "merge tag as value": "a: <<\n",
+    "recursive sequence": "a: &s [1, *s]\n",
+    "recursive sequence in mapping": "a: &s [1, {b: *s}]\n",
+    "recursive mapping": "a: &m {b: *m}\n",
+    "recursive mapping as key": "a: &m {? *m : 1}\n",
+    "recursive mapping two deep": "a: &m {b: {c: *m}}\n",
+    "recursive mapping through sequence": "a: &m {b: [*m]}\n",
+    "recursive mapping in sequence": "- &m {a: *m}\n",
+    "shared anchors": "a: &x [1, 2]\nb: *x\nc: &y {k: *x}\nd: [*y, *y]\ne: &s text\nf: *s\n",
+    "duplicate anchor": "a: &x 1\nb: &x 2\n",
+    "duplicate collection anchor": "a: &x [1]\nb: &x {c: 1}\n",
+    "undefined alias": "a: *nope\n",
+    "alias before anchor": "- *x\n- &x 1\n",
+    "two documents": "a: 1\n---\nb: 2\n",
+    "two scalar documents": "--- 1\n--- 2\n",
+    "second document unparsable": "a: 1\n...\n---\nb: [\n",
+    "explicit empty document": "---\n",
+    "document end only": "...\n",
+    "empty": "",
+    "comment only": "# nothing here\n",
+    "scalar tags": (
+        "a: !!str 12\nb: !!int '12'\nc: !!float 1\nd: !!bool yes\ne: !!null ''\n"
+        "f: !!binary aGVsbG8=\ng: !!timestamp 2001-12-14\nh: !!str\ni: ! 12\nj: !!int 0x1F\n"
+    ),
+    "implicit scalars": (
+        "a: [~, null, yes, No, on, 0o17, 017, 0x1f, 1_000, 1:30, -.inf, .NaN, 6.8e+3, 2001-12-14t21:59:43.10-05:00]\n"
+    ),
+    "set": "s: !!set {a, b, a}\n",
+    "block set": "s: !!set\n  ? a\n  ? b\n",
+    "set with merge": "a: &a {x: 1}\ns: !!set {<<: *a, y}\n",
+    "omap": "o: !!omap [{a: 1}, {b: 2}, {a: 3}]\n",
+    "omap two keys": "o: !!omap [{a: 1, b: 2}]\n",
+    "omap scalar item": "o: !!omap [{a: 1}, 2]\n",
+    "omap of mapping": "o: !!omap {a: 1}\n",
+    "pairs": "p: !!pairs [{a: 1}, {a: 2}]\n",
+    "explicit map and seq": "m: !!map {a: 1}\ns: !!seq [1, 2]\nn: !!map\n  k: !!seq\n    - v\n",
+    "unknown scalar tag": "a: !foo bar\n",
+    "unknown mapping tag": "a: !foo {b: 1}\n",
+    "unknown sequence tag": "a: !foo [1]\n",
+    "scalar tag on sequence": "a: !!str [a]\n",
+    "sequence tag on mapping": "a: !!seq {b: 1}\n",
+    "set tag on sequence": "a: !!set [a]\n",
+    "value tag": "=: 1\n",
+    "complex sequence key": "? [a, b]\n: 1\n",
+    "complex mapping key": "x: 1\n? {a: 1}\n: 2\n",
+    "flow sequence key": "[a]: 1\n",
+    "aliased unhashable key": "a: &l [1]\n*l : 2\n",
+    "hashable complex keys": "? !!binary aGk=\n: 1\n2001-12-14: d\n? !!float 1\n: f\n",
+    "duplicate 1": "1: a\n1: b\n",
+    "duplicate 1 and 1.0": "1: a\n1.0: b\n",
+    "duplicate yes and true": "yes: a\ntrue: b\n",
+    "duplicate 1 and true": "1: a\ntrue: b\n",
+    "duplicate nan": ".nan: 1\n.NaN: 2\n",
+    "duplicate aliased key": "&k a: 1\n*k : 2\n",
+    "duplicate flow key": "{a: 1, a: 2}\n",
+    "duplicate in sequence": "- {a: 1}\n- {b: 1, b: 2}\n",
+}
+
+
+@pytest.mark.parametrize("text", PARITY_INPUTS.values(), ids=PARITY_INPUTS.keys())
+def test_loads_like_the_reference(yaml_backend, text):
+    assert_loads_like_reference(text)
+
+
+def test_descriptors_load_like_the_reference(yaml_backend):
+    for text in descriptor_texts():
+        assert_loads_like_reference(text)
+
+
+def test_aliases_return_the_anchored_object(yaml_backend):
+    doc = compose._load_yaml(PARITY_INPUTS["shared anchors"])
+    assert doc["b"] is doc["a"] and doc["c"]["k"] is doc["a"]
+    assert doc["d"][0] is doc["d"][1] is doc["c"]
+    rec = compose._load_yaml(PARITY_INPUTS["recursive mapping through sequence"])
+    assert rec["a"]["b"][0] is rec["a"]
+
+
+# Plain scalars that the resolver reads as something other than a string.
+LOOKALIKES = ["~", "null", "yes", "No", "on", "0o17", "0x1F", "1_000", "1:30", ".inf", "-.Inf",
+              ".NaN", "6.8e+3", "2001-12-14", "2001-12-14 21:59:43.1", "<<", "=", "", "- a", "a: b"]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.sampled_from(LOOKALIKES),
+    st.binary(max_size=8),
+    st.dates(),
+    st.datetimes(),
+)
+
+
+def trees(depth: int):
+    if depth == 0:
+        return scalars
+    children = trees(depth - 1)
+    return st.one_of(
+        scalars,
+        st.lists(children, max_size=3),
+        st.dictionaries(scalars, children, max_size=3),
+    )
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_dumped_trees_load_like_the_reference(backend):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tree=trees(5), flow=st.sampled_from([False, True, None]), unicode=st.booleans())
+    def check(tree, flow, unicode):
+        text = yaml.dump(
+            {"root": tree}, Dumper=yaml.SafeDumper, default_flow_style=flow, allow_unicode=unicode
+        )
+        assert_loads_like_reference(text)
+
+    if backend == "python":
+        with python_backend():
+            check()
+    else:
+        check()
+
+
+def nested(opener: str, depth: int) -> str:
+    """A descriptor whose innermost node sits in ``depth`` collections, the top one included."""
+    closer = {"[": "]", "{a: ": "}"}[opener]
+    return "a: " + opener * (depth - 1) + closer * (depth - 1) + "\n"
+
+
+def under_frames(count: int, fn):
+    """Call ``fn`` below ``count`` extra Python frames."""
+    return fn() if count == 0 else under_frames(count - 1, fn)
+
+
+@pytest.mark.parametrize("opener", ["[", "{a: "])
+@pytest.mark.parametrize("frames", [0, 200])
+def test_nesting_limit_depends_on_the_input_alone(yaml_backend, opener, frames):
+    def round_trip():
+        spec = compose.parse_compose(nested(opener, compose._MAX_DEPTH))
+        return spec, compose.parse_compose(compose.serialize_compose(spec))
+
+    spec, again = under_frames(frames, round_trip)
+    assert again.residue == spec.residue
+
+    def too_deep():
+        with pytest.raises(ComposeSyntaxError) as err:
+            compose.parse_compose(nested(opener, compose._MAX_DEPTH + 1))
+        return err.value
+
+    err = under_frames(frames, too_deep)
+    assert str(err) == "nesting too deep" and (err.line, err.col) == (None, None)
+
+
+def test_parse_compose_is_linear_in_services():
+    def best_of_3(text: str) -> float:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            compose.parse_compose(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small = best_of_3(compose.serialize_compose(residue_heavy_spec(200)))
+    large = best_of_3(compose.serialize_compose(residue_heavy_spec(4000)))
+    # 20x the services: linear cost is ~20x
     assert large < 100 * small, f"200 services {small * 1e3:.1f} ms, 4000 services {large * 1e3:.1f} ms"
