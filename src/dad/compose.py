@@ -127,6 +127,14 @@ _MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
 _SEQ_TAGS = (None, "!", "tag:yaml.org,2002:seq")
 _SET_TAG = "tag:yaml.org,2002:set"
 _PAIR_LIST_TAGS = ("tag:yaml.org,2002:omap", "tag:yaml.org,2002:pairs")
+# What a collection tag on a scalar asks for. Their constructors in
+# SafeConstructor are generators that would not raise on a scalar.
+_COLLECTION_KINDS = {
+    _MAP_TAGS[-1]: "mapping",
+    _SET_TAG: "mapping",
+    _SEQ_TAGS[-1]: "sequence",
+    **dict.fromkeys(_PAIR_LIST_TAGS, "sequence"),
+}
 
 _ITEM = object()  # the key of every open sequence
 _KEY = object()  # an open mapping waits for a key
@@ -210,6 +218,9 @@ def _open(event, parent: _Open | None) -> _Open:
 
 
 def _construct_scalar(loader: _UniqueKeyLoader, tag: str, event):
+    if tag in _COLLECTION_KINDS:
+        kind = _COLLECTION_KINDS[tag]
+        raise _syntax_error(f"expected a {kind} node, but found scalar", event.start_mark)
     construct = SafeConstructor.yaml_constructors.get(tag, SafeConstructor.construct_undefined)
     node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, style=event.style)
     try:
@@ -353,8 +364,9 @@ def _build(loader: _UniqueKeyLoader):
 
 def _load_yaml(text: str):
     """The single YAML document in ``text`` (None when there is none)."""
-    loader = _UniqueKeyLoader(text)
+    loader = None
     try:
+        loader = _UniqueKeyLoader(text)  # the pure-Python reader refuses non-printable text here
         return _build(loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
@@ -363,7 +375,8 @@ def _load_yaml(text: str):
             raise ComposeSyntaxError(problem, mark.line + 1, mark.column + 1) from exc
         raise ComposeSyntaxError(problem) from exc
     finally:
-        loader.dispose()
+        if loader is not None:
+            loader.dispose()
 
 
 def _require_str(value, path: str) -> str:

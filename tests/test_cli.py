@@ -427,7 +427,15 @@ class TestDeepNesting:
 
 class TestIllTypedScalars:
     @pytest.mark.parametrize(
-        "text", ["a: !!int 'abc'\n", "a: !!float 'x'\n", "a: !!bool 'maybe'\n", "a: !!timestamp 'x'\n"]
+        "text",
+        [
+            "a: !!int 'abc'\n",
+            "a: !!float 'x'\n",
+            "a: !!bool 'maybe'\n",
+            "a: !!timestamp 'x'\n",
+            "a: !!map x\n",
+            "a: !!seq x\n",
+        ],
     )
     def test_check_is_invalid(self, capsys, tmp_path, yaml_backend, text):
         path = tmp_path / "tagged.yml"
@@ -436,6 +444,16 @@ class TestIllTypedScalars:
         assert code == EXIT_INVALID
         assert out.startswith("verdict: Invalid\n") and "(line 1, col 4)" in out
         assert err == ""
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x7f"])
+def test_non_printable_character_is_invalid(capsys, tmp_path, yaml_backend, char):
+    path = tmp_path / "control.yml"
+    path.write_text(f"services:\n  web:\n    image: a{char}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "-i", str(path))
+    assert code == EXIT_INVALID
+    assert out.startswith("verdict: Invalid\n")
+    assert err == ""
 
 
 # A long-syntax mount whose target is the empty string.

@@ -351,6 +351,10 @@ ILL_TYPED_SCALARS = [
     "a: !!timestamp 'x'\n",
     "a: !!int\n",
     "a: !!timestamp 2001-02-30\n",
+    "a: !!map x\n",
+    "a: !!seq x\n",
+    "a: !!set x\n",
+    "a: !!omap x\n",
 ]
 
 

@@ -314,6 +314,11 @@ PARITY_INPUTS = {
     "scalar tag on sequence": "a: !!str [a]\n",
     "sequence tag on mapping": "a: !!seq {b: 1}\n",
     "set tag on sequence": "a: !!set [a]\n",
+    "sequence tag on scalar": "a: !!seq x\n",
+    "set tag on scalar": "a: !!set x\n",
+    "omap tag on scalar": "a: !!omap x\n",
+    "pairs tag on scalar": "a: !!pairs x\n",
+    "non-printable character": "a: b\x01\n",
     "value tag": "=: 1\n",
     "complex sequence key": "? [a, b]\n: 1\n",
     "complex mapping key": "x: 1\n? {a: 1}\n: 2\n",
