@@ -809,6 +809,30 @@ _ComposeDumper.add_representer(
 )
 
 
+def _represent_set(dumper: _ComposeDumper, data: set) -> yaml.Node:
+    # a set iterates in string-hash order, which changes from run to run
+    return dumper.represent_set(sorted(data, key=lambda item: (type(item).__name__, repr(item))))
+
+
+def _represent_list(dumper: _ComposeDumper, data: list) -> yaml.Node:
+    # !!omap and !!pairs load as a list of 2-tuples; !!pairs brings one back
+    # as that list, where a plain sequence would bring back lists
+    if (
+        data
+        and type(data[0]) is tuple
+        and len(data[0]) == 2
+        and all(type(item) is tuple and len(item) == 2 for item in data)
+    ):
+        return dumper.represent_sequence(
+            "tag:yaml.org,2002:pairs", [{key: value} for key, value in data]
+        )
+    return dumper.represent_sequence("tag:yaml.org,2002:seq", data)
+
+
+_ComposeDumper.add_representer(set, _represent_set)
+_ComposeDumper.add_representer(list, _represent_list)
+
+
 def dump_yaml(doc: dict) -> str:
     return yaml.dump(
         doc,

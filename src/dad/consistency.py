@@ -32,6 +32,9 @@ class DiffKind(Enum):
     EXTRA_EDGE = "ExtraEdge"
     ATTRIBUTE_MISMATCH = "AttributeMismatch"
 
+    # identity hashing, as for EdgeKind: the diff sort looks up every entry's kind
+    __hash__ = object.__hash__
+
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(DiffKind)}
 

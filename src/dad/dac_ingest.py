@@ -6,12 +6,17 @@ the graph model; emit_compose renders the model as descriptor text containing
 exactly the retained subset. Columns are fixed by the indentation grammar
 (clusters and edges start at column 3, nodes at column 5), so elements track
 their line number only.
+
+The reader is a single pass: parse_dac visits each line once, matching it
+against one pattern chosen by its indentation (node lines) or against the
+edge and then the cluster pattern, and lift visits each node and edge once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 from .dac_emit import decode_annot_value, unescape_quoted
 from .errors import (
@@ -45,7 +50,7 @@ _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 Annotations = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DacNode:
     ident: str
     kind: str  # Server | Storage | Network
@@ -54,14 +59,14 @@ class DacNode:
     line: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DacCluster:
     name: str
     nodes: tuple[DacNode, ...] = ()
     line: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DacEdge:
     op: str  # ">>" | "-"
     src: str
@@ -70,7 +75,7 @@ class DacEdge:
     line: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DacAst:
     title: str
     direction: str
@@ -81,22 +86,34 @@ class DacAst:
         return tuple(node for cluster in self.clusters for node in cluster.nodes)
 
 
-def _parse_annotations(raw: str | None, lineno: int) -> Annotations:
-    if raw is None:
-        return ()
+_NODE_ANNOT_KEYS = {
+    "Server": frozenset(
+        {"image", "build_context", "build_dockerfile", "container_name", "phantom"}
+    ),
+    "Storage": frozenset({"phantom"}),
+    "Network": frozenset({"phantom"}),
+}
+# keys lift understands are well formed; only other keys need _KEY_RE
+_KNOWN_ANNOT_KEYS = frozenset({"target"}).union(*_NODE_ANNOT_KEYS.values())
+
+
+def _parse_annotations(raw: str, lineno: int) -> Annotations:
+    parts = raw.split(",")
+    # a single pair cannot repeat a key
+    seen: set[str] | None = set() if len(parts) > 1 else None
     pairs: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for part in raw.split(","):
+    for part in parts:
         key, eq, value = part.partition("=")
         if not eq:
             raise DacSyntaxError(
                 f"malformed annotation {part!r}", lineno, expected="key=value"
             )
-        if not _KEY_RE.fullmatch(key):
+        if key not in _KNOWN_ANNOT_KEYS and not _KEY_RE.fullmatch(key):
             raise DacSyntaxError(f"bad annotation key {key!r}", lineno, expected="key=value")
-        if key in seen:
-            raise DacSyntaxError(f"duplicate annotation key {key!r}", lineno)
-        seen.add(key)
+        if seen is not None:
+            if key in seen:
+                raise DacSyntaxError(f"duplicate annotation key {key!r}", lineno)
+            seen.add(key)
         pairs.append((key, decode_annot_value(value)))
     return tuple(pairs)
 
@@ -123,6 +140,12 @@ def _diagnose(line: str, lineno: int) -> DacSyntaxError:
     )
 
 
+def _close_cluster(clusters: list[DacCluster], name: str, line: int, nodes: list[DacNode]) -> None:
+    if not nodes:
+        raise DacSyntaxError(f"cluster {name!r} has no nodes", line, col=3, expected="node line")
+    clusters.append(DacCluster(name, tuple(nodes), line))
+
+
 def parse_dac(text: str, strict: bool = True) -> DacAst:
     """Parse a diagram script into its AST.
 
@@ -133,7 +156,8 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
     """
     if not text.endswith("\n"):
         raise DacSyntaxError("missing trailing newline", max(text.count("\n") + 1, 1))
-    lines = text.split("\n")[:-1]
+    lines = text.split("\n")
+    lines.pop()  # the empty string after the final newline
     header = _HEADER_RE.fullmatch(lines[0]) if lines else None
     if header is None:
         raise DacSyntaxError(
@@ -143,119 +167,114 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
         )
     title, direction = unescape_quoted(header.group(1)), header.group(2)
 
+    match_node, match_edge, match_cluster = (
+        _NODE_RE.fullmatch,
+        _EDGE_RE.fullmatch,
+        _CLUSTER_RE.fullmatch,
+    )
     clusters: list[DacCluster] = []
     edges: list[DacEdge] = []
     declared: dict[str, DacNode] = {}
-    open_cluster: tuple[str, int, list[DacNode]] | None = None
+    # the open cluster; nodes is None while no cluster is open
+    cluster_name, cluster_line, nodes = "", 0, None
     saw_pass = False
-
-    def close_cluster() -> None:
-        nonlocal open_cluster
-        if open_cluster is None:
-            return
-        name, line, nodes = open_cluster
-        if not nodes:
-            raise DacSyntaxError(f"cluster {name!r} has no nodes", line, col=3, expected="node line")
-        clusters.append(DacCluster(name=name, nodes=tuple(nodes), line=line))
-        open_cluster = None
-
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(islice(lines, 1, None), 2):
         if saw_pass:
             raise DacSyntaxError("content after pass", lineno, expected="end of script")
-        if line == "  pass":
-            if clusters or edges or open_cluster is not None:
-                raise DacSyntaxError(
-                    "pass is allowed only as the sole body line", lineno, col=3
-                )
-            saw_pass = True
-            continue
-        # node lines are the only ones indented twice; cluster and edge lines
-        # are told apart by their own patterns
+        # node lines are the only ones indented twice; edge and cluster lines
+        # are told apart by their own patterns, which never both match
         if line.startswith("    "):
-            match = _NODE_RE.fullmatch(line)
+            match = match_node(line)
             if match is None:
                 raise _diagnose(line, lineno)
-            if open_cluster is None:
+            if nodes is None:
                 raise DacSyntaxError(
                     "node outside a cluster", lineno, col=5, expected="cluster header first"
                 )
             ident, kind, label, annot = match.groups()
             if ident in declared:
                 raise DuplicateIdentError(ident, lineno)
-            node = DacNode(
-                ident=ident,
-                kind=kind,
-                label=unescape_quoted(label),
-                annotations=_parse_annotations(annot, lineno),
-                line=lineno,
+            node = declared[ident] = DacNode(
+                ident,
+                kind,
+                unescape_quoted(label),
+                () if annot is None else _parse_annotations(annot, lineno),
+                lineno,
             )
-            declared[ident] = node
-            open_cluster[2].append(node)
-            continue
-        if match := _CLUSTER_RE.fullmatch(line):
-            close_cluster()
-            open_cluster = (unescape_quoted(match.group(1)), lineno, [])
-            continue
-        if match := _EDGE_RE.fullmatch(line):
-            close_cluster()
+            nodes.append(node)
+        elif match := match_edge(line):
+            if nodes is not None:
+                _close_cluster(clusters, cluster_name, cluster_line, nodes)
+                nodes = None
             src, op, dst, annot = match.groups()
             if strict:
-                for ident in (src, dst):
-                    if ident not in declared:
-                        raise UndeclaredIdentError(ident, lineno)
+                if src not in declared:
+                    raise UndeclaredIdentError(src, lineno)
+                if dst not in declared:
+                    raise UndeclaredIdentError(dst, lineno)
             edges.append(
                 DacEdge(
-                    op=op,
-                    src=src,
-                    dst=dst,
-                    annotations=_parse_annotations(annot, lineno),
-                    line=lineno,
+                    op,
+                    src,
+                    dst,
+                    () if annot is None else _parse_annotations(annot, lineno),
+                    lineno,
                 )
             )
-            continue
-        raise _diagnose(line, lineno)
-    close_cluster()
+        elif match := match_cluster(line):
+            if nodes is not None:
+                _close_cluster(clusters, cluster_name, cluster_line, nodes)
+            cluster_name, cluster_line, nodes = unescape_quoted(match.group(1)), lineno, []
+        elif line == "  pass":
+            if clusters or edges or nodes is not None:
+                raise DacSyntaxError(
+                    "pass is allowed only as the sole body line", lineno, col=3
+                )
+            saw_pass = True
+        else:
+            raise _diagnose(line, lineno)
+    if nodes is not None:
+        _close_cluster(clusters, cluster_name, cluster_line, nodes)
 
     if not clusters and not edges and not saw_pass:
         raise DacSyntaxError("empty body", len(lines) + 1, expected="cluster, edge or pass")
-    return DacAst(title=title, direction=direction, clusters=tuple(clusters), edges=tuple(edges))
-
-
-_NODE_ANNOT_KEYS = {
-    "Server": {"image", "build_context", "build_dockerfile", "container_name", "phantom"},
-    "Storage": {"phantom"},
-    "Network": {"phantom"},
-}
+    return DacAst(title, direction, tuple(clusters), tuple(edges))
 
 
 def _lift_node(node: DacNode):
+    kind = node.kind
     annots = dict(node.annotations)
-    unknown = set(annots) - _NODE_ANNOT_KEYS[node.kind]
-    if unknown:
-        raise LiftError(
-            f"line {node.line}: {node.kind} annotation keys {sorted(unknown)} not understood"
-        )
+    allowed = _NODE_ANNOT_KEYS[kind]
+    if not annots.keys() <= allowed:
+        unknown = sorted(annots.keys() - allowed)
+        raise LiftError(f"line {node.line}: {kind} annotation keys {unknown} not understood")
     phantom = annots.pop("phantom", None)
     if phantom is not None and phantom != "true":
         raise LiftError(f"line {node.line}: phantom must be 'true', got {phantom!r}")
-    if node.kind == "Storage":
-        return VolumeNode(node.label, phantom=phantom is not None)
-    if node.kind == "Network":
-        return NetworkNode(node.label, phantom=phantom is not None)
+    if kind == "Storage":
+        return VolumeNode(node.label, phantom is not None)
+    if kind == "Network":
+        return NetworkNode(node.label, phantom is not None)
     if "build_dockerfile" in annots and "build_context" not in annots:
         raise LiftError(f"line {node.line}: build_dockerfile without build_context")
     build = None
     if "build_context" in annots:
-        build = BuildRef(
-            context=annots["build_context"], dockerfile=annots.get("build_dockerfile")
-        )
+        build = BuildRef(annots["build_context"], annots.get("build_dockerfile"))
     return ServiceNode(
-        name=node.label,
-        image=annots.get("image"),
-        build=build,
-        container_name=annots.get("container_name"),
-        phantom=phantom is not None,
+        node.label,
+        annots.get("image"),
+        build,
+        annots.get("container_name"),
+        phantom is not None,
     )
+
+
+def _edge_target(edge: DacEdge) -> str | None:
+    annots = dict(edge.annotations)
+    unknown = annots.keys() - {"target"}
+    if unknown:
+        raise LiftError(f"line {edge.line}: edge annotation keys {sorted(unknown)} not understood")
+    return annots.get("target")
 
 
 def lift(ast: DacAst) -> ArchModel:
@@ -271,35 +290,38 @@ def lift(ast: DacAst) -> ArchModel:
     volumes: list[VolumeNode] = []
     networks: list[NetworkNode] = []
     by_ident: dict[str, tuple[str, str]] = {}  # ident -> (kind, node name)
-    for node in ast.nodes():
-        lifted = _lift_node(node)
-        by_ident[node.ident] = (node.kind, lifted.name)
-        if isinstance(lifted, ServiceNode):
-            services.append(lifted)
-        elif isinstance(lifted, VolumeNode):
-            volumes.append(lifted)
-        else:
-            networks.append(lifted)
-
-    def resolve(ident: str) -> tuple[str, str]:
-        if ident not in by_ident:
-            services.append(ServiceNode(ident, phantom=True))
-            by_ident[ident] = ("Server", ident)
-        return by_ident[ident]
+    for cluster in ast.clusters:
+        for node in cluster.nodes:
+            kind = node.kind
+            lifted = _lift_node(node)
+            by_ident[node.ident] = (kind, lifted.name)
+            if kind == "Server":
+                services.append(lifted)
+            elif kind == "Storage":
+                volumes.append(lifted)
+            else:
+                networks.append(lifted)
 
     edges: list[Edge] = []
     for edge in ast.edges:
-        target = None
-        if edge.annotations:
-            annots = dict(edge.annotations)
-            unknown = set(annots) - {"target"}
-            if unknown:
-                raise LiftError(
-                    f"line {edge.line}: edge annotation keys {sorted(unknown)} not understood"
-                )
-            target = annots.get("target")
-        src_kind, src_name = resolve(edge.src)
-        dst_kind, dst_name = resolve(edge.dst)
+        annots = edge.annotations
+        if not annots:
+            target = None
+        elif len(annots) == 1 and annots[0][0] == "target":
+            target = annots[0][1]
+        else:
+            target = _edge_target(edge)
+        # an identifier never declared is a phantom service, added on first use
+        src = by_ident.get(edge.src)
+        if src is None:
+            services.append(ServiceNode(edge.src, phantom=True))
+            src = by_ident[edge.src] = ("Server", edge.src)
+        dst = by_ident.get(edge.dst)
+        if dst is None:
+            services.append(ServiceNode(edge.dst, phantom=True))
+            dst = by_ident[edge.dst] = ("Server", edge.dst)
+        src_kind, src_name = src
+        dst_kind, dst_name = dst
         if edge.op == ">>":
             if src_kind != "Server" or dst_kind != "Server":
                 raise LiftError(f"line {edge.line}: >> requires service endpoints")
@@ -313,24 +335,15 @@ def lift(ast: DacAst) -> ArchModel:
             src_name, dst_name = dst_name, src_name
         if src_kind != "Server":
             raise LiftError(f"line {edge.line}: - requires at least one service endpoint")
-        if dst_kind == "Server":
-            if target is not None:
-                raise LiftError(f"line {edge.line}: target annotation is only for mounts")
-            edges.append(Edge(EdgeKind.LINK, src_name, dst_name))
-        elif dst_kind == "Storage":
-            edges.append(Edge(EdgeKind.MOUNT, src_name, dst_name, target=target))
-        else:
-            if target is not None:
-                raise LiftError(f"line {edge.line}: target annotation is only for mounts")
-            edges.append(Edge(EdgeKind.ATTACHMENT, src_name, dst_name))
+        if dst_kind == "Storage":
+            edges.append(Edge(EdgeKind.MOUNT, src_name, dst_name, target))
+            continue
+        if target is not None:
+            raise LiftError(f"line {edge.line}: target annotation is only for mounts")
+        kind = EdgeKind.LINK if dst_kind == "Server" else EdgeKind.ATTACHMENT
+        edges.append(Edge(kind, src_name, dst_name))
 
-    model = ArchModel(
-        title=ast.title,
-        services=tuple(services),
-        volumes=tuple(volumes),
-        networks=tuple(networks),
-        edges=tuple(edges),
-    )
+    model = ArchModel(ast.title, tuple(services), tuple(volumes), tuple(networks), tuple(edges))
     model.validate()
     return model
 

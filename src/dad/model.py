@@ -24,6 +24,10 @@ class EdgeKind(Enum):
     MOUNT = "mount"
     ATTACHMENT = "attachment"
 
+    # members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ is a Python function, and kinds key every edge lookup
+    __hash__ = object.__hash__
+
 
 # Endpoint typing: (source kind, destination kind) per edge kind. Sources are
 # always services; only the destination varies.
@@ -35,7 +39,7 @@ _EDGE_DST = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildRef:
     """Image build source: a context directory and an optional dockerfile."""
 
@@ -43,7 +47,7 @@ class BuildRef:
     dockerfile: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceNode:
     name: str
     image: str | None = None
@@ -52,19 +56,19 @@ class ServiceNode:
     phantom: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VolumeNode:
     name: str
     phantom: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkNode:
     name: str
     phantom: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Typed relation between named nodes.
 
@@ -79,7 +83,7 @@ class Edge:
     target: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchModel:
     """The architecture graph, in source order.
 
@@ -174,7 +178,7 @@ def assert_acyclic(model: ArchModel) -> None:
                 path.pop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """Order-free projection of a model onto the retained subset.
 
@@ -221,6 +225,9 @@ def _service_attrs(svc: ServiceNode) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(attrs.items()))
 
 
+_KIND_VALUE = {kind: kind.value for kind in EdgeKind}
+
+
 def canonicalize(model: ArchModel | CanonicalForm) -> CanonicalForm:
     """Project a model onto its canonical form; idempotent on canonical forms."""
     if isinstance(model, CanonicalForm):
@@ -230,7 +237,7 @@ def canonicalize(model: ArchModel | CanonicalForm) -> CanonicalForm:
         volumes=tuple(sorted(v.name for v in model.volumes)),
         networks=tuple(sorted(n.name for n in model.networks)),
         edges=tuple(
-            sorted((e.kind.value, e.src, e.dst, e.target or "") for e in model.edges)
+            sorted((_KIND_VALUE[e.kind], e.src, e.dst, e.target or "") for e in model.edges)
         ),
     )
 

@@ -1,7 +1,10 @@
 """Descriptor ingestion tests: parsing, the retained/residue split, validation,
 lowering to the graph model, and serialization back to text."""
 
+import os
 import random
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -410,6 +413,38 @@ class TestSerialize:
         spec.services["app"].volumes = [MountRef("data", "")]
         spec.residue = {("services", "app", "volumes", "data:", "mode"): "ro"}
         assert parse_compose(serialize_compose(spec)) == spec
+
+    @pytest.mark.parametrize("tag", ["!!omap", "!!pairs"])
+    def test_ordered_pairs_residue_survives(self, yaml_backend, tag):
+        spec = parse_compose(
+            f"x-order: {tag} [{{b: 1}}, {{a: [1, 2]}}, {{c: }}]\n"
+            f"services:\n  app:\n    image: a\n    labels: {tag} [{{k: v}}]\n"
+        )
+        assert spec.residue[("x-order",)] == [("b", 1), ("a", [1, 2]), ("c", None)]
+        assert spec.residue[("services", "app", "labels")] == [("k", "v")]
+        assert parse_compose(serialize_compose(spec)).residue == spec.residue
+
+    def test_set_residue_bytes_do_not_depend_on_string_hashing(self):
+        text = "x: !!set {gamma, alpha, delta, beta, 3}\nservices:\n  app:\n    labels: !!set {b, a}\n"
+        script = (
+            "import sys\n"
+            "from dad.compose import parse_compose, serialize_compose\n"
+            "sys.stdout.write(serialize_compose(parse_compose(sys.argv[1])))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script, text],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert outputs == {
+            "x: !!set\n  3:\n  alpha:\n  beta:\n  delta:\n  gamma:\n"
+            "services:\n  app:\n    labels: !!set\n      a:\n      b:\n"
+        }
 
     def test_empty_spec_serializes_to_empty_services_map(self):
         assert serialize_compose(parse_compose("")) == "services: {}\n"
