@@ -12,20 +12,25 @@ All functions are pure; distinct files can be parsed concurrently.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import yaml
 from yaml.constructor import SafeConstructor
 from yaml.events import (
     AliasEvent,
+    DocumentEndEvent,
+    DocumentStartEvent,
     MappingEndEvent,
     MappingStartEvent,
     ScalarEvent,
     SequenceEndEvent,
+    SequenceStartEvent,
     StreamEndEvent,
 )
-from yaml.nodes import ScalarNode
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from yaml.resolver import Resolver
 
 from .errors import ComposeSyntaxError, LoweringError, SchemaError
@@ -79,7 +84,7 @@ class ComposeSpec:
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    code: str  # DanglingReference | ConflictingSource | MissingSource
+    code: str  # EmptyName | DanglingReference | ConflictingSource | MissingSource
     path: str
     message: str
     severity: str  # error | warning
@@ -118,10 +123,14 @@ class _UniqueKeyLoader(_LoaderBase):
 
 
 # Collections open at once. The limit keeps deep input from exhausting the
-# Python stack of whoever walks the loaded document (the dumper recurses).
+# Python stack of whoever walks the loaded document recursively (the
+# representer does, for the sets and pair lists ``dump_yaml`` hands it).
 _MAX_DEPTH = 100
 
 _STR_TAG = "tag:yaml.org,2002:str"
+_BOOL_TAG = "tag:yaml.org,2002:bool"
+_INT_TAG = "tag:yaml.org,2002:int"
+_NULL_TAG = "tag:yaml.org,2002:null"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 _MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
 _SEQ_TAGS = (None, "!", "tag:yaml.org,2002:seq")
@@ -286,6 +295,7 @@ def _build(loader: _UniqueKeyLoader):
     if get_event().__class__ is StreamEndEvent:  # else it was the DocumentStartEvent
         return None
     anchors: dict[str, tuple] = {}  # name -> (object, start mark, _Open of a collection)
+    plain_tags: dict[str, str] = {}  # text of a plain scalar -> its resolved tag
     stack: list[_Open] = []
     top = None
     while True:
@@ -294,7 +304,13 @@ def _build(loader: _UniqueKeyLoader):
         if cls is ScalarEvent:
             value, tag, mark = event.value, event.tag, event.start_mark
             if tag is None or tag == "!":
-                tag = resolve(ScalarNode, value, event.implicit)
+                implicit = event.implicit
+                if implicit[0]:  # the tag of a plain scalar depends on its text alone
+                    tag = plain_tags.get(value)
+                    if tag is None:
+                        tag = plain_tags[value] = resolve(ScalarNode, value, implicit)
+                else:
+                    tag = resolve(ScalarNode, value, implicit)
             anchor = event.anchor
             if anchor is not None and anchor in anchors:
                 raise _syntax_error(f"found duplicate anchor {anchor!r}", mark)
@@ -565,15 +581,31 @@ def _parse_long_mount(item: dict, svc: str, spec: ComposeSpec) -> MountRef | Non
 
 
 def validate(spec: ComposeSpec, strict: bool = False) -> list[ValidationIssue]:
-    """Check cross-references and image/build conflicts.
+    """Check names, cross-references and image/build conflicts.
 
-    Strict mode reports errors; lenient mode downgrades everything to warnings
-    (lowering then synthesizes phantom nodes for dangling references).
+    Strict mode reports errors; lenient mode downgrades them to warnings
+    (lowering then synthesizes phantom nodes for dangling references). An
+    empty name is an error in both modes, since no model node can carry it.
     """
     severity = "error" if strict else "warning"
     issues: list[ValidationIssue] = []
     volumes = set(spec.volumes)
     networks = set(spec.networks)
+
+    for section, kind, names in (
+        ("services", "service", spec.services),
+        ("volumes", "volume", volumes),
+        ("networks", "network", networks),
+    ):
+        if "" in names:
+            issues.append(
+                ValidationIssue(
+                    code="EmptyName",
+                    path=section,
+                    message=f"declares a {kind} with an empty name",
+                    severity="error",
+                )
+            )
 
     def dangling(path: str, ref: str, kind: str) -> None:
         issues.append(
@@ -581,7 +613,8 @@ def validate(spec: ComposeSpec, strict: bool = False) -> list[ValidationIssue]:
                 code="DanglingReference",
                 path=f"{path} -> {ref}",
                 message=f"references undeclared {kind} {ref!r}",
-                severity=severity,
+                # a phantom node for an empty name could not exist either
+                severity=severity if ref else "error",
             )
         )
 
@@ -805,7 +838,7 @@ class _ComposeDumper(_DumperBase):
 
 # Compose style: empty values render as a bare key rather than an explicit null.
 _ComposeDumper.add_representer(
-    type(None), lambda dumper, _: dumper.represent_scalar("tag:yaml.org,2002:null", "")
+    type(None), lambda dumper, _: dumper.represent_scalar(_NULL_TAG, "")
 )
 
 
@@ -833,15 +866,146 @@ _ComposeDumper.add_representer(set, _represent_set)
 _ComposeDumper.add_representer(list, _represent_list)
 
 
+_PLAIN = (True, False)  # resolve() reads the text as a plain scalar
+_MAP_TAG, _SEQ_TAG = _MAP_TAGS[-1], _SEQ_TAGS[-1]
+
+
+class _Repeated(Exception):
+    """The walk reached an object again after its first events had been emitted."""
+
+
+def _walk(dumper: _ComposeDumper, doc, events: list | None) -> None:
+    """Emit the events PyYAML's serializer emits for ``doc``, without its node tree.
+
+    One walk on an explicit stack turns str, int, bool, None, dict and list
+    into events itself. Any other object goes through the dumper's
+    representer (``_represent_set``, ``_represent_list`` for pair lists,
+    floats, dates, bytes) and its node becomes events. An object reached
+    again is an alias of the first; its anchor is numbered at that second
+    visit, as the serializer numbers them, and belongs on the first events.
+    So the walk either emits straight away and raises ``_Repeated`` at a
+    second visit, or, given ``events``, collects them there to be emitted
+    afterwards.
+    """
+    resolve, represent = dumper.resolve, dumper.represent_data
+    out = dumper.emit if events is None else events.append
+    # id of a walked dict or list -> its first event; the representer keeps
+    # its nodes here too, so an object it reaches as well is one node
+    firsts = dumper.represented_objects
+    node_firsts: dict = {}  # node from the representer -> its first event
+    plain_tags: dict[str, str] = {}  # text of a scalar -> the tag it reads as when plain
+    anchor_ids = count(1)
+
+    def alias(first) -> AliasEvent:
+        if first.anchor is None:
+            if events is None:
+                raise _Repeated
+            first.anchor = f"id{next(anchor_ids):03d}"
+        return AliasEvent(first.anchor)
+
+    def scalar(tag: str, text: str) -> ScalarEvent:
+        plain = plain_tags.get(text)
+        if plain is None:
+            plain = plain_tags[text] = resolve(ScalarNode, text, _PLAIN)
+        return ScalarEvent(None, tag, (plain == tag, False), text)
+
+    def first_event(node, event) -> None:
+        node_firsts[node] = event
+        out(event)
+
+    def node_events(node) -> None:
+        # Serializer.serialize_node
+        if not isinstance(node, (ScalarNode, SequenceNode, MappingNode)):
+            out(alias(node))  # the first event of a dict or list walked below
+            return
+        if node in node_firsts:
+            out(alias(node_firsts[node]))
+            return
+        tag, value = node.tag, node.value
+        if node.__class__ is ScalarNode:
+            implicit = (
+                tag == resolve(ScalarNode, value, _PLAIN),
+                tag == resolve(ScalarNode, value, (False, True)),
+            )
+            first_event(node, ScalarEvent(None, tag, implicit, value, style=node.style))
+            return
+        implicit = tag == resolve(node.__class__, value, True)
+        if node.__class__ is SequenceNode:
+            first_event(node, SequenceStartEvent(None, tag, implicit, flow_style=node.flow_style))
+            for item in value:
+                node_events(item)
+            out(SequenceEndEvent())
+        else:
+            first_event(node, MappingStartEvent(None, tag, implicit, flow_style=node.flow_style))
+            for key, item in value:
+                node_events(key)
+                node_events(item)
+            out(MappingEndEvent())
+
+    stack = [(iter((doc,)), None)]
+    while stack:
+        items, end = stack[-1]
+        for value in items:
+            cls = value.__class__
+            if cls is str:
+                plain = plain_tags.get(value)
+                if plain is None:
+                    plain = plain_tags[value] = resolve(ScalarNode, value, _PLAIN)
+                # a quoted scalar always reads as a string
+                out(ScalarEvent(None, _STR_TAG, (plain == _STR_TAG, True), value))
+            # a list that starts with a tuple may be a pair list: _represent_list decides
+            elif cls is dict or (cls is list and not (value and value[0].__class__ is tuple)):
+                first = firsts.get(id(value))
+                if first is not None:
+                    out(alias(node_firsts.get(first, first)))
+                    continue
+                if cls is dict:
+                    first = MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
+                    stack.append((chain.from_iterable(value.items()), MappingEndEvent))
+                else:
+                    first = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
+                    stack.append((iter(value), SequenceEndEvent))
+                firsts[id(value)] = first
+                out(first)
+                break
+            elif cls is bool:
+                out(scalar(_BOOL_TAG, "true" if value else "false"))
+            elif cls is int:
+                out(scalar(_INT_TAG, str(value)))
+            elif value is None:  # a bare key, as the representer of _ComposeDumper writes it
+                out(scalar(_NULL_TAG, ""))
+            else:
+                node_events(represent(value))
+        else:
+            stack.pop()
+            if end is not None:
+                out(end())
+
+
 def dump_yaml(doc: dict) -> str:
-    return yaml.dump(
-        doc,
-        Dumper=_ComposeDumper,
-        sort_keys=False,
-        default_flow_style=False,
-        allow_unicode=True,
-        width=4096,
+    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with ``_ComposeDumper``."""
+    try:
+        return _dump(doc, None)
+    except _Repeated:  # a shared object: its anchor goes on events already emitted
+        return _dump(doc, [])
+
+
+def _dump(doc: dict, events: list | None) -> str:
+    stream = io.StringIO()
+    dumper = _ComposeDumper(
+        stream, default_flow_style=False, allow_unicode=True, width=4096, sort_keys=False
     )
+    try:
+        dumper.open()
+        dumper.emit(DocumentStartEvent())
+        _walk(dumper, doc, events)
+        for event in events or ():
+            dumper.emit(event)
+        dumper.emit(DocumentEndEvent())
+        dumper.close()
+    finally:
+        dumper.dispose()
+    return stream.getvalue()
 
 
 def serialize_compose(spec: ComposeSpec) -> str:

@@ -309,6 +309,21 @@ class TestCheck:
         assert f"file\t{CORPUS / 'wordpress.yml'}" in out.splitlines()
 
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+    @pytest.mark.parametrize("kind", ["service", "volume", "network"])
+    def test_empty_name_is_invalid_at_the_gate(self, capsys, tmp_path, kind, strict):
+        text = "services: {}\n" if kind != "service" else ""
+        text += f"{kind}s:\n  '':\n" + ("    image: x\n" if kind == "service" else "")
+        src = tmp_path / "empty_name.yml"
+        src.write_text(text, encoding="utf-8")
+        message = f"EmptyName({kind}s): declares a {kind} with an empty name"
+        code, out, err = run(capsys, "check", "-i", str(src), *strict)
+        assert (code, out) == (EXIT_INVALID, f"verdict: Invalid\nerror: {message}\n")
+        code, out, err = run(capsys, "generate", "-i", str(src), *strict)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert f"error: {message}\n" in err
+
+
 class TestDiff:
     def test_identical_descriptors(self, capsys):
         path = str(CORPUS / "monitoring.yml")

@@ -240,6 +240,14 @@ class TestValidate:
         assert "ghost" in strict[0].path
         assert not issues_ok(strict) and issues_ok(lenient)
 
+    def test_empty_names_are_errors_in_both_modes(self):
+        spec = parse_compose("services:\n  '':\n    image: x\nvolumes:\n  '':\nnetworks:\n  '':\n")
+        for strict in (False, True):
+            issues = validate(spec, strict=strict)
+            assert [(i.code, i.path, i.severity) for i in issues] == [
+                ("EmptyName", section, "error") for section in ("services", "volumes", "networks")
+            ]
+
     def test_conflicting_and_missing_sources(self):
         spec = parse_compose(
             "services:\n  a:\n    image: x\n    build: ./a\n  b: {}\n"

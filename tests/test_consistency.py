@@ -541,3 +541,35 @@ class TestRoundTripEdgeCases:
         assert "a\nb" in {s.name for s in lower(parse_compose(text)).services}
         report = round_trip_check(text)
         assert report.verdict is Verdict.CONSISTENT, render_report(report)
+
+
+# One empty name per kind. The model cannot hold any of them, so the gate
+# refuses them in both modes instead of leaving them to the emitter.
+EMPTY_NAMES = {
+    "service": "services:\n  '':\n    image: x\n",
+    "volume": "services: {}\nvolumes:\n  '':\n",
+    "network": "services: {}\nnetworks:\n  '':\n",
+}
+EMPTY_REFERENCES = {
+    "depends_on": "services:\n  a:\n    image: x\n    depends_on: ['']\n",
+    "links": "services:\n  a:\n    image: x\n    links: [':alias']\n",
+    "networks": "services:\n  a:\n    image: x\n    networks: ['']\n",
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("kind", EMPTY_NAMES)
+def test_empty_name_is_invalid_at_the_gate(kind, strict):
+    expected = f"EmptyName({kind}s): declares a {kind} with an empty name"
+    report = round_trip_check(EMPTY_NAMES[kind], strict=strict)
+    assert (report.verdict, report.error) == (Verdict.INVALID, expected)
+    pair = check_diagram_against_descriptor('with DaC("t"):\n  pass\n', EMPTY_NAMES[kind], strict=strict)
+    assert (pair.verdict, pair.error) == (Verdict.INVALID, expected)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("field", EMPTY_REFERENCES)
+def test_reference_to_an_empty_name_is_invalid_at_the_gate(field, strict):
+    report = round_trip_check(EMPTY_REFERENCES[field], strict=strict)
+    assert report.verdict is Verdict.INVALID
+    assert report.error.startswith(f"DanglingReference(services.a.{field} -> ): references undeclared ")

@@ -2,10 +2,16 @@
 
 ``backends.python_backend`` reloads the module as if PyYAML had no libyaml,
 so each test can compare the two. Only the wording of syntax errors may
-differ between backends.
+differ between backends. On each backend, loading matches PyYAML's composer
+and constructor, and dumping matches ``yaml.dump`` with dad's dumper; both
+references are kept below.
 """
 
+import datetime
+import functools
+import importlib.util
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -23,7 +29,20 @@ from dad.model import BuildRef
 from backends import on_both_backends, python_backend
 from specgen import doc_to_yaml, gen_descriptor_doc
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+
+
+def _load_gen():
+    """The benchmark's seeded descriptor generator, ``perfbench/gen.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _load_gen()
 
 
 def test_backend_follows_libyaml_availability():
@@ -440,5 +459,177 @@ def test_parse_compose_is_linear_in_services():
 
     small = best_of_3(compose.serialize_compose(residue_heavy_spec(200)))
     large = best_of_3(compose.serialize_compose(residue_heavy_spec(4000)))
+    # 20x the services: linear cost is ~20x
+    assert large < 100 * small, f"200 services {small * 1e3:.1f} ms, 4000 services {large * 1e3:.1f} ms"
+
+
+def test_plain_scalars_resolve_apart_from_quoted_ones(yaml_backend):
+    expected = {"a": True, "b": "true", "c": 1, "d": "1", "e": None, "f": "~"}
+    plain_first = "a: true\nb: 'true'\nc: 1\nd: \"1\"\ne: ~\nf: '~'\n"
+    quoted_first = "b: 'true'\na: true\nd: \"1\"\nc: 1\nf: '~'\ne: ~\n"
+    for text in (plain_first, quoted_first):
+        doc = compose._load_yaml(text)
+        assert doc == expected
+        assert all(type(value) is type(expected[key]) for key, value in doc.items())
+
+
+def test_plain_scalar_tags_are_cached_per_load(yaml_backend, monkeypatch):
+    resolved = []
+    resolve = compose._UniqueKeyLoader.resolve
+
+    def counting(self, kind, value, implicit):
+        resolved.append((value, implicit[0]))
+        return resolve(self, kind, value, implicit)
+
+    monkeypatch.setattr(compose._UniqueKeyLoader, "resolve", counting)
+    text = "a: [x, x, 1, 1, 'x', 'x', ~, ~]\nx: 1\n"
+    first = compose._load_yaml(text)
+    calls = list(resolved)
+    # a plain text resolves once per load; a quoted scalar resolves each time
+    assert sorted(calls) == sorted([("x", False), ("x", False), ("a", True), ("x", True), ("1", True), ("~", True)])
+    resolved.clear()
+    assert compose._load_yaml(text) == first
+    assert resolved == calls  # the second load starts with an empty cache
+
+
+# The dumper dad used before it turned documents into emitter events itself.
+# It is the reference dump_yaml must match byte for byte.
+def reference_dump(doc) -> str:
+    return yaml.dump(
+        doc,
+        Dumper=compose._ComposeDumper,
+        sort_keys=False,
+        default_flow_style=False,
+        allow_unicode=True,
+        width=4096,
+    )
+
+
+@functools.cache
+def dumped_documents() -> tuple:
+    """Every document serialize_compose and emit_compose hand to dump_yaml.
+
+    Their inputs are the corpus, 600 specgen descriptors and scale
+    descriptors of seeds 1-3. The documents do not depend on the backend
+    (``test_documents_and_output_bytes_match``), so both backends share them.
+    """
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.yml"))]
+    rng = random.Random(12)
+    texts += [doc_to_yaml(gen_descriptor_doc(rng)) for _ in range(600)]
+    for seed in (1, 2, 3):
+        seeded = random.Random(seed)
+        texts += [gen.scale_descriptor(seeded, n).text for n in (10, 60)]
+    docs: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compose, "dump_yaml", lambda doc: docs.append(doc) or "")
+        for text in texts:
+            spec = compose.parse_compose(text)
+            compose.serialize_compose(spec)
+            try:
+                emit_compose(compose.lower(spec))
+            except DadError:  # cyclic.yml: the emitter refuses an invalid model
+                pass
+    assert len(docs) == 2 * len(texts) - 1
+    return tuple(docs)
+
+
+def test_dumps_like_the_reference(yaml_backend):
+    for doc in dumped_documents():
+        assert compose.dump_yaml(doc) == reference_dump(doc)
+
+
+def _recursive_cases() -> dict:
+    own_list: list = [1]
+    own_list.append(own_list)
+    own_map: dict = {"a": 1}
+    own_map["self"] = own_map
+    own_pairs: list = [("a", None)]
+    own_pairs.append(("b", own_pairs))
+    return {"recursive list": {"r": own_list}, "recursive map": {"r": own_map}, "recursive pairs": {"r": own_pairs}}
+
+
+SHARED_MAP = {"driver": "local", "opts": {"o": "bind"}}
+SHARED_LIST = ["a", 1, None]
+DATE = datetime.date(2001, 12, 14)
+
+DUMP_CASES = {
+    "floats": {"a": [0.5, -1.0, 1e17, 1e-05, float("inf"), -float("inf"), float("nan"), 0.0]},
+    "dates": {"d": datetime.date(2001, 12, 14), "t": datetime.datetime(2001, 12, 14, 21, 59, 43, 100000)},
+    "binary": {"b": b"hello", "empty": b"", "lines": bytes(range(256))},
+    "set": {"s": {"b", "a", 3, None, 1.5, DATE}},
+    "pairs": {"p": [("a", 1), ("b", [1, 2]), ("a", {"k": None})], "empty": []},
+    "pairs after a tuple": {"p": [("a", 1), ("b", 2, 3)], "q": [("a", 1), "x"]},
+    "tuple": {"t": ("a", ("b", 1))},
+    "shared dict and list": {"a": SHARED_MAP, "b": [SHARED_MAP, SHARED_LIST], "c": SHARED_LIST, "d": SHARED_MAP},
+    "anchors numbered at the second visit": {"p": SHARED_LIST, "q": SHARED_MAP, "r": SHARED_MAP, "s": SHARED_LIST},
+    "shared date": {"a": DATE, "b": [DATE], "s": {DATE}},
+    "shared inside pairs": {"a": SHARED_MAP, "p": [("k", SHARED_MAP), ("l", SHARED_LIST)], "b": SHARED_LIST},
+    "shared pair list": {"a": (pairs := [("k", "v")]), "b": pairs},
+    "shared set": {"a": (members := {"x", "y"}), "b": members},
+    "scalar keys": {1: "one", True: "yes", None: "nothing", 1.5: "f", DATE: "d", "": "empty"},
+    "lookalike strings": {
+        "values": ["true", "null", "~", "1", "0x1", "", "<<", "=", "yes", "1:30", ".nan", "2001-12-14", "- a", "a: b"],
+        "true": "null",
+        "~": "<<",
+        "<<": 1,
+    },
+    "multi-line": {"a": "line one\nline two\n", "b": "trailing  \n\n", "c": "\ttab", "d": " lead"},
+    "non-ASCII": {"ü": "naïve ☃", "emoji": "\U0001f600", "cjk": "漢字", "nbsp": "a\u00a0b"},
+    "empty collections": {"m": {}, "l": [], "n": None, "nested": [[], {}, [[]]]},
+    "top-level list": [1, "a", {"b": None}],
+    "top-level scalar": "just text",
+    **_recursive_cases(),
+}
+
+
+@pytest.mark.parametrize("doc", DUMP_CASES.values(), ids=DUMP_CASES.keys())
+def test_dumps_residue_like_the_reference(yaml_backend, doc):
+    assert compose.dump_yaml(doc) == reference_dump(doc)
+
+
+def test_shared_objects_dump_as_anchor_and_alias(yaml_backend):
+    text = compose.dump_yaml(DUMP_CASES["anchors numbered at the second visit"])
+    assert text == "p: &id002\n- a\n- 1\n-\nq: &id001\n  driver: local\n  opts:\n    o: bind\nr: *id001\ns: *id002\n"
+    loaded = compose._load_yaml(text)
+    assert loaded["p"] is loaded["s"] and loaded["q"] is loaded["r"]
+
+
+def test_dump_refuses_what_the_representer_refuses(yaml_backend):
+    with pytest.raises(yaml.representer.RepresenterError):
+        compose.dump_yaml({"a": object()})
+    with pytest.raises(yaml.representer.RepresenterError):
+        reference_dump({"a": object()})
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_dumped_trees_match_the_reference(backend):
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tree=trees(5), shared=st.booleans())
+    def check(tree, shared):
+        # the same tree twice: its collections (and dates) come out as aliases
+        doc = {"root": tree, "again": [tree]} if shared else {"root": tree}
+        assert compose.dump_yaml(doc) == reference_dump(doc)
+
+    if backend == "python":
+        with python_backend():
+            check()
+    else:
+        check()
+
+
+def test_dump_yaml_is_linear_in_services():
+    def best_of_3(doc: dict) -> float:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            compose.dump_yaml(doc)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    def doc(n_services: int) -> dict:
+        text = gen.scale_descriptor(random.Random(1), n_services).text
+        return spec_to_mapping(compose.parse_compose(text))
+
+    small, large = best_of_3(doc(200)), best_of_3(doc(4000))
     # 20x the services: linear cost is ~20x
     assert large < 100 * small, f"200 services {small * 1e3:.1f} ms, 4000 services {large * 1e3:.1f} ms"
