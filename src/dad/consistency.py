@@ -9,14 +9,13 @@ diagrams by design; it never sways a verdict and is surfaced as notes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 
 from . import compose
 from .dac_emit import emit_dac
 from .dac_ingest import emit_compose, lift, parse_dac
 from .errors import DadError
-from .model import ArchModel, CanonicalForm, canonicalize
+from .model import ArchModel, CanonicalForm, canonicalize, record
 
 
 class Verdict(Enum):
@@ -39,7 +38,7 @@ class DiffKind(Enum):
 _KIND_ORDER = {kind: index for index, kind in enumerate(DiffKind)}
 
 
-@dataclass(frozen=True)
+@record
 class DiffEntry:
     """One discrepancy. Missing* carries a left value only (the right side
     lacks the element), Extra* a right value only, AttributeMismatch both."""
@@ -60,7 +59,7 @@ class DiffEntry:
             raise ValueError(f"{self.kind.value} entry has the wrong value sides")
 
 
-@dataclass(frozen=True)
+@record
 class ReportStats:
     left_nodes: int = 0
     left_edges: int = 0
@@ -68,11 +67,11 @@ class ReportStats:
     right_edges: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyReport:
     verdict: Verdict
     issues: tuple[DiffEntry, ...] = ()
-    stats: ReportStats = field(default_factory=ReportStats)
+    stats: ReportStats = ReportStats()
     notes: tuple[str, ...] = ()
     error: str | None = None
 

@@ -24,10 +24,9 @@ information-preserving.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import EmitError, ModelError
-from .model import ArchModel, EdgeKind, NetworkNode, ServiceNode, VolumeNode
+from .model import ArchModel, EdgeKind, NetworkNode, ServiceNode, VolumeNode, record
 
 # First matching image substring wins; no match means role "service".
 DEFAULT_ROLE_TABLE: tuple[tuple[str, str], ...] = (
@@ -56,7 +55,7 @@ _DST_TYPE = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class EmitOptions:
     direction: str = "TB"
     group_by_role: bool = False
@@ -72,11 +71,11 @@ class EmitOptions:
                 raise EmitError("role table roles must be nonempty")
 
 
-@dataclass(frozen=True)
+@record
 class DacScript:
     text: str
     # (ident, constructor kind, label) per emitted node, in script order
-    identifiers: tuple[tuple[str, str, str], ...] = field(default_factory=tuple)
+    identifiers: tuple[tuple[str, str, str], ...] = ()
 
 
 def _ident_base(name: str) -> str:

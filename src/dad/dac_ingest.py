@@ -15,7 +15,6 @@ edge and then the cluster pattern, and lift visits each node and edge once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 
 from .dac_emit import decode_annot_value, unescape_quoted
@@ -35,6 +34,7 @@ from .model import (
     NetworkNode,
     ServiceNode,
     VolumeNode,
+    record,
 )
 from . import compose
 
@@ -50,7 +50,7 @@ _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 Annotations = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DacNode:
     ident: str
     kind: str  # Server | Storage | Network
@@ -59,14 +59,14 @@ class DacNode:
     line: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DacCluster:
     name: str
     nodes: tuple[DacNode, ...] = ()
     line: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DacEdge:
     op: str  # ">>" | "-"
     src: str
@@ -75,7 +75,7 @@ class DacEdge:
     line: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DacAst:
     title: str
     direction: str

@@ -6,16 +6,70 @@ which elements appeared in the source text, so emission is order-faithful.
 which is the equality oracle used by every consistency check: two models are
 "the same architecture" exactly when their canonical forms are equal.
 
-All values are immutable after construction; every operation here is a pure
-function.
+All values are immutable records, made by :func:`record`, and every operation
+here is a pure function. A record keeps its fields' order, defaults and
+keyword construction, prints as ``Name(field=value, ...)``, hashes by value,
+and copies and pickles by value. Assigning to one raises ``AttributeError``.
+It equals only a record of its own type, so ``VolumeNode("a")`` differs from
+``NetworkNode("a")`` and an ``Edge`` from the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import CycleError, ModelError
+
+
+def record(cls: type) -> type:
+    """Class decorator: make the annotated class body an immutable record.
+
+    The annotations name the fields in order, and a class attribute of the
+    same name is that field's default. The record is a ``collections.namedtuple``
+    underneath with the guarantees the module docstring lists; unlike a plain
+    named tuple it equals no other type. It still iterates, indexes and orders
+    as a tuple. A ``__post_init__`` method runs after every construction, so
+    it can refuse bad values. The body's methods and properties carry over,
+    but cannot call ``super()`` without arguments.
+    """
+    body = dict(vars(cls))
+    names = tuple(cls.__annotations__)
+    has_default = [name in body for name in names]
+    if has_default != sorted(has_default):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    base = namedtuple(
+        cls.__name__,
+        names,
+        defaults=[body.pop(name) for name in names if name in body],
+        module=cls.__module__,
+    )
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    body.update(__slots__=(), __eq__=_record_eq, __ne__=_record_ne, __hash__=tuple.__hash__)
+    post_init = body.get("__post_init__")
+    if post_init is not None:
+
+        def __new__(klass, *args, **kwargs):
+            self = base.__new__(klass, *args, **kwargs)
+            post_init(self)
+            return self
+
+        body["__new__"] = __new__
+    return type(cls.__name__, (base,), body)
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    # A tuple subclass's reflected __eq__ runs first, even with a plain tuple
+    # on the left, so NotImplemented here would let tuple equality decide.
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _record_ne(self, other):
+    equal = _record_eq(self, other)
+    return equal if equal is NotImplemented else not equal
 
 
 class EdgeKind(Enum):
@@ -39,7 +93,7 @@ _EDGE_DST = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BuildRef:
     """Image build source: a context directory and an optional dockerfile."""
 
@@ -47,7 +101,7 @@ class BuildRef:
     dockerfile: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ServiceNode:
     name: str
     image: str | None = None
@@ -56,19 +110,19 @@ class ServiceNode:
     phantom: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VolumeNode:
     name: str
     phantom: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NetworkNode:
     name: str
     phantom: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Edge:
     """Typed relation between named nodes.
 
@@ -83,7 +137,7 @@ class Edge:
     target: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ArchModel:
     """The architecture graph, in source order.
 
@@ -178,7 +232,7 @@ def assert_acyclic(model: ArchModel) -> None:
                 path.pop()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CanonicalForm:
     """Order-free projection of a model onto the retained subset.
 

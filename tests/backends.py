@@ -1,10 +1,10 @@
-"""Run code on either YAML backend of ``dad.compose``.
+"""Run code on either YAML backend of ``dad.yaml_io``.
 
-``dad.compose`` parses and dumps through libyaml when PyYAML was built with
+``dad.yaml_io`` parses and dumps through libyaml when PyYAML was built with
 it. ``python_backend`` reloads the module as if PyYAML had no libyaml and
-restores the original module afterwards. Modules that imported functions from
-``dad.compose`` by name follow along, since those functions look up the
-loader and dumper classes in the module's namespace at call time.
+restores the original module afterwards. ``dad.compose`` and every module
+that imported its functions follow along, since those functions look up
+``dad.yaml_io`` and its loader and dumper classes at call time.
 """
 
 import contextlib
@@ -13,21 +13,21 @@ import importlib
 import pytest
 import yaml
 
-from dad import compose
+from dad import yaml_io
 
 
 @contextlib.contextmanager
 def python_backend():
-    """Reload dad.compose with libyaml switched off; restore it on exit."""
-    saved = dict(vars(compose))
+    """Reload dad.yaml_io with libyaml switched off; restore it on exit."""
+    saved = dict(vars(yaml_io))
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(yaml, "__with_libyaml__", False)
-            importlib.reload(compose)
+            importlib.reload(yaml_io)
             yield
     finally:
-        vars(compose).clear()
-        vars(compose).update(saved)
+        vars(yaml_io).clear()
+        vars(yaml_io).update(saved)
 
 
 def on_both_backends(fn):

@@ -4,7 +4,8 @@ Every test drives ``cli.main`` in process and asserts on exit codes and
 captured streams, so the exit-code contract (0 consistent, 1 inconsistent,
 2 invalid, 3 I/O, 4 internal error) is pinned exactly where CI scripts would
 observe it. Two tests also run ``dad check`` as a subprocess, to see that it
-ends by its exit code and not by a signal or a traceback.
+ends by its exit code and not by a signal or a traceback, and
+``TestColdProcess`` checks what a fresh ``dad`` process imports.
 """
 
 import subprocess
@@ -545,3 +546,34 @@ def test_reports_are_deterministic(capsys):
         assert code == EXIT_OK
         first.append(out)
     assert first[0] == first[1] == first[2]
+
+
+class TestColdProcess:
+    """A CI gate starts dad as a fresh process and pays for every import."""
+
+    def test_diff_of_two_scripts_imports_neither_yaml_nor_dataclasses(self, capsys, tmp_path):
+        left, right = tmp_path / "a.dac", tmp_path / "b.dac"
+        lamp = str(CORPUS / "lamp.yml")
+        assert cli.main(["generate", "-i", lamp, "-o", str(left)]) == EXIT_OK
+        assert cli.main(["generate", "-i", lamp, "--group-by-role", "-o", str(right)]) == EXIT_OK
+        assert left.read_text(encoding="utf-8") != right.read_text(encoding="utf-8")
+        program = (
+            "import sys\n"
+            "from dad.cli import main\n"
+            f"code = main(['diff', '-i', {str(left)!r}, '-i', {str(right)!r}])\n"
+            "loaded = [name for name in ('yaml', 'dataclasses') if name in sys.modules]\n"
+            "sys.exit(f'imported {loaded}' if loaded else code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "verdict: Consistent" in proc.stdout
+
+    def test_check_of_a_descriptor_loads_yaml_on_demand(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dad.cli", "check", "-i", str(CORPUS / "lamp.yml")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "verdict: Consistent" in proc.stdout

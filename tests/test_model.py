@@ -1,13 +1,20 @@
-"""Meta-model invariants: canonicalization, equality, cycle detection."""
+"""Meta-model invariants: canonicalization, equality, cycle detection, and
+the value semantics of every record and mutable value type in dad."""
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
-from dad.errors import CycleError, ModelError
+from dad.compose import ComposeSpec, MountRef, ServiceEntry, ValidationIssue
+from dad.consistency import ConsistencyReport, DiffEntry, DiffKind, ReportStats, Verdict
+from dad.dac_emit import DEFAULT_ROLE_TABLE, DacScript, EmitOptions
+from dad.dac_ingest import DacAst, DacCluster, DacEdge, DacNode
+from dad.errors import CycleError, EmitError, ModelError
 from dad.model import (
     ArchModel,
     BuildRef,
@@ -20,6 +27,7 @@ from dad.model import (
     assert_acyclic,
     canonicalize,
     model_equal,
+    record,
 )
 
 
@@ -262,3 +270,212 @@ class TestValidate:
         m = ArchModel(services=services("a", "b"), edges=(dep("a", "b"), dep("b", "a")))
         with pytest.raises(CycleError):
             m.validate()
+
+
+# One value of each record type and its repr, as the frozen dataclasses these
+# types used to be printed it.
+RECORDS = {
+    "BuildRef": (BuildRef("ctx", "Dockerfile"), "BuildRef(context='ctx', dockerfile='Dockerfile')"),
+    "ServiceNode": (
+        ServiceNode("web", "nginx"),
+        "ServiceNode(name='web', image='nginx', build=None, container_name=None, phantom=False)",
+    ),
+    "VolumeNode": (VolumeNode("data", phantom=True), "VolumeNode(name='data', phantom=True)"),
+    "NetworkNode": (NetworkNode("back"), "NetworkNode(name='back', phantom=False)"),
+    "Edge": (
+        Edge(EdgeKind.MOUNT, "web", "data", "/var/lib"),
+        "Edge(kind=<EdgeKind.MOUNT: 'mount'>, src='web', dst='data', target='/var/lib')",
+    ),
+    "ArchModel": (
+        ArchModel("t", (ServiceNode("web"),), edges=(Edge(EdgeKind.LINK, "web", "db"),)),
+        "ArchModel(title='t', services=(ServiceNode(name='web', image=None, build=None, "
+        "container_name=None, phantom=False),), volumes=(), networks=(), "
+        "edges=(Edge(kind=<EdgeKind.LINK: 'link'>, src='web', dst='db', target=None),))",
+    ),
+    "CanonicalForm": (
+        CanonicalForm(volumes=("v",), edges=(("mount", "web", "v", "/x"),)),
+        "CanonicalForm(services=(), volumes=('v',), networks=(), edges=(('mount', 'web', 'v', '/x'),))",
+    ),
+    "DacNode": (
+        DacNode("web", "Server", "web", (("image", "nginx"),), 3),
+        "DacNode(ident='web', kind='Server', label='web', annotations=(('image', 'nginx'),), line=3)",
+    ),
+    "DacCluster": (
+        DacCluster("services", (DacNode("db", "Server", "db"),), 2),
+        "DacCluster(name='services', nodes=(DacNode(ident='db', kind='Server', label='db', "
+        "annotations=(), line=0),), line=2)",
+    ),
+    "DacEdge": (DacEdge(">>", "web", "db", line=9), "DacEdge(op='>>', src='web', dst='db', annotations=(), line=9)"),
+    "DacAst": (DacAst("t", "TB"), "DacAst(title='t', direction='TB', clusters=(), edges=())"),
+    "DiffEntry": (
+        DiffEntry(DiffKind.MISSING_NODE, "services.web", left=""),
+        "DiffEntry(kind=<DiffKind.MISSING_NODE: 'MissingNode'>, subject='services.web', left='', right=None)",
+    ),
+    "ReportStats": (ReportStats(1, 2), "ReportStats(left_nodes=1, left_edges=2, right_nodes=0, right_edges=0)"),
+    "ConsistencyReport": (
+        ConsistencyReport(Verdict.CONSISTENT, notes=("n",)),
+        "ConsistencyReport(verdict=<Verdict.CONSISTENT: 'Consistent'>, issues=(), "
+        "stats=ReportStats(left_nodes=0, left_edges=0, right_nodes=0, right_edges=0), notes=('n',), error=None)",
+    ),
+    "EmitOptions": (
+        EmitOptions("LR", True, (("db", "data"),)),
+        "EmitOptions(direction='LR', group_by_role=True, role_table=(('db', 'data'),))",
+    ),
+    "DacScript": (DacScript("x"), "DacScript(text='x', identifiers=())"),
+    "ValidationIssue": (
+        ValidationIssue("EmptyName", "services", "m", "error"),
+        "ValidationIssue(code='EmptyName', path='services', message='m', severity='error')",
+    ),
+}
+RECORD_VALUES = [value for value, _ in RECORDS.values()]
+
+
+def field_values(value) -> dict:
+    return {name: getattr(value, name) for name in type(value).__match_args__}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("value, text", RECORDS.values(), ids=RECORDS.keys())
+    def test_repr_is_the_dataclass_repr(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value", RECORD_VALUES, ids=RECORDS.keys())
+    def test_assignment_raises(self, value):
+        for name in type(value).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("value", RECORD_VALUES, ids=RECORDS.keys())
+    def test_equal_records_hash_equal(self, value):
+        fields = field_values(value)
+        by_keyword = type(value)(**fields)
+        by_position = type(value)(*fields.values())
+        assert by_keyword == value and by_position == value
+        assert not by_keyword != value
+        assert hash(by_keyword) == hash(by_position) == hash(value)
+        assert len({value, by_keyword, by_position}) == 1
+
+    @pytest.mark.parametrize("value", RECORD_VALUES, ids=RECORDS.keys())
+    def test_equal_only_to_its_own_type(self, value):
+        fields = field_values(value)
+        plain = tuple(fields.values())
+        assert value != plain and plain != value
+        assert not value == plain and not plain == value
+
+        @record
+        class Twin:
+            __annotations__ = dict.fromkeys(fields, "object")
+
+        twin = Twin(*plain)
+        assert value != twin and twin != value
+        assert not value == twin and not twin == value
+        assert value != object() and value != None  # noqa: E711
+
+    def test_nodes_of_different_kinds_differ(self):
+        assert VolumeNode("a") != NetworkNode("a")
+        assert len({VolumeNode("a"), NetworkNode("a")}) == 2
+        edge = Edge(EdgeKind.LINK, "a", "b")
+        assert edge != (EdgeKind.LINK, "a", "b", None)
+        assert edge not in {(EdgeKind.LINK, "a", "b", None)}
+
+    @pytest.mark.parametrize("value", RECORD_VALUES, ids=RECORDS.keys())
+    def test_copy_and_pickle_keep_the_value(self, value):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(value)
+            assert other == value and repr(other) == repr(value)
+
+    def test_defaults_and_keywords(self):
+        assert ServiceNode("a") == ServiceNode(name="a", image=None, build=None, container_name=None, phantom=False)
+        assert BuildRef(".").dockerfile is None
+        assert Edge(EdgeKind.LINK, "a", "b").target is None
+        assert ArchModel() == ArchModel("system", (), (), (), ())
+        assert CanonicalForm() == CanonicalForm((), (), (), ())
+        assert DacNode("a", "Server", "a") == DacNode("a", "Server", "a", annotations=(), line=0)
+        assert DacAst("t", "LR").clusters == () and DacAst("t", "LR").edges == ()
+        assert ReportStats() == ReportStats(0, 0, 0, 0)
+        report = ConsistencyReport(Verdict.INVALID, error="e")
+        assert (report.issues, report.stats, report.notes, report.error) == ((), ReportStats(), (), "e")
+        assert EmitOptions() == EmitOptions(direction="TB", group_by_role=False, role_table=DEFAULT_ROLE_TABLE)
+        assert DacScript("x").identifiers == ()
+        with pytest.raises(TypeError):
+            Edge(EdgeKind.LINK, "a")
+        with pytest.raises(TypeError):
+            ServiceNode("a", color="red")
+
+    def test_record_refuses_a_required_field_after_a_default(self):
+        with pytest.raises(TypeError, match="without a default"):
+
+            @record
+            class Bad:
+                a: int = 0
+                b: int
+
+    @pytest.mark.parametrize(
+        "kind, left, right",
+        [
+            (DiffKind.MISSING_NODE, None, None),
+            (DiffKind.MISSING_EDGE, "x", "y"),
+            (DiffKind.EXTRA_NODE, "x", None),
+            (DiffKind.EXTRA_EDGE, "x", "y"),
+            (DiffKind.ATTRIBUTE_MISMATCH, "x", None),
+            (DiffKind.ATTRIBUTE_MISMATCH, None, "y"),
+        ],
+    )
+    def test_diff_entry_with_the_wrong_sides_raises(self, kind, left, right):
+        with pytest.raises(ValueError, match="wrong value sides"):
+            DiffEntry(kind, "s", left, right)
+        with pytest.raises(ValueError, match="wrong value sides"):
+            DiffEntry(kind=kind, subject="s", left=left, right=right)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"direction": "BT"}, "direction must be TB or LR"),
+            ({"role_table": (("", "data"),)}, "substrings must be nonempty"),
+            ({"role_table": (("db", ""),)}, "roles must be nonempty"),
+        ],
+    )
+    def test_bad_emit_options_raise(self, kwargs, message):
+        with pytest.raises(EmitError, match=message):
+            EmitOptions(**kwargs)
+
+
+class TestMutableValues:
+    def test_repr_and_equality_are_field_by_field(self):
+        entry = ServiceEntry(image="nginx", depends_on=["db"])
+        assert repr(MountRef("data", "/x")) == "MountRef(volume='data', target='/x')"
+        assert repr(entry) == (
+            "ServiceEntry(image='nginx', build=None, container_name=None, "
+            "depends_on=['db'], links=[], volumes=[], networks=[])"
+        )
+        assert repr(ComposeSpec(volumes=["v"])) == "ComposeSpec(services={}, volumes=['v'], networks=[], residue={})"
+        assert entry == ServiceEntry("nginx", None, None, ["db"])
+        assert entry != ServiceEntry(image="nginx")
+        assert MountRef("a", "/x") == MountRef(volume="a", target="/x") != MountRef("a", "/y")
+        assert ComposeSpec() == ComposeSpec({}, [], [], {})
+        assert MountRef("a", "/x") != ("a", "/x")
+        entry.image = "httpd"  # mutable, so unhashable
+        assert entry.image == "httpd"
+        with pytest.raises(TypeError):
+            hash(entry)
+
+    def test_fresh_containers_per_instance(self):
+        first, second = ServiceEntry(), ServiceEntry()
+        for name in ("depends_on", "links", "volumes", "networks"):
+            assert getattr(first, name) is not getattr(second, name)
+        first.links.append("db")
+        assert second.links == []
+        spec_a, spec_b = ComposeSpec(), ComposeSpec()
+        for name in ("services", "volumes", "networks", "residue"):
+            assert getattr(spec_a, name) is not getattr(spec_b, name)
+        spec_a.residue[("x",)] = 1
+        assert spec_b.residue == {}
+
+    def test_copy_and_pickle_keep_the_value(self):
+        spec = ComposeSpec(services={"web": ServiceEntry(volumes=[MountRef("v", "/x")])}, volumes=["v"])
+        for other in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert other == spec

@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dad import compose
+from dad import compose, yaml_io
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, spec_to_mapping
 from dad.dac_ingest import emit_compose
 from dad.errors import ComposeSyntaxError, DadError
@@ -46,16 +46,16 @@ gen = _load_gen()
 
 
 def test_backend_follows_libyaml_availability():
-    loader, dumper = compose._UniqueKeyLoader, compose._ComposeDumper
+    loader, dumper = yaml_io._UniqueKeyLoader, yaml_io._ComposeDumper
     if yaml.__with_libyaml__:
         from yaml._yaml import CParser
 
         assert issubclass(loader, CParser)
         assert issubclass(dumper, yaml.CSafeDumper)
     with python_backend():
-        assert issubclass(compose._UniqueKeyLoader, yaml.SafeLoader)
-        assert issubclass(compose._ComposeDumper, yaml.SafeDumper)
-    assert compose._UniqueKeyLoader is loader and compose._ComposeDumper is dumper
+        assert issubclass(yaml_io._UniqueKeyLoader, yaml.SafeLoader)
+        assert issubclass(yaml_io._ComposeDumper, yaml.SafeDumper)
+    assert yaml_io._UniqueKeyLoader is loader and yaml_io._ComposeDumper is dumper
 
 
 def descriptor_texts() -> list[str]:
@@ -433,7 +433,7 @@ def under_frames(count: int, fn):
 @pytest.mark.parametrize("frames", [0, 200])
 def test_nesting_limit_depends_on_the_input_alone(yaml_backend, opener, frames):
     def round_trip():
-        spec = compose.parse_compose(nested(opener, compose._MAX_DEPTH))
+        spec = compose.parse_compose(nested(opener, yaml_io._MAX_DEPTH))
         return spec, compose.parse_compose(compose.serialize_compose(spec))
 
     spec, again = under_frames(frames, round_trip)
@@ -441,7 +441,7 @@ def test_nesting_limit_depends_on_the_input_alone(yaml_backend, opener, frames):
 
     def too_deep():
         with pytest.raises(ComposeSyntaxError) as err:
-            compose.parse_compose(nested(opener, compose._MAX_DEPTH + 1))
+            compose.parse_compose(nested(opener, yaml_io._MAX_DEPTH + 1))
         return err.value
 
     err = under_frames(frames, too_deep)
@@ -475,13 +475,13 @@ def test_plain_scalars_resolve_apart_from_quoted_ones(yaml_backend):
 
 def test_plain_scalar_tags_are_cached_per_load(yaml_backend, monkeypatch):
     resolved = []
-    resolve = compose._UniqueKeyLoader.resolve
+    resolve = yaml_io._UniqueKeyLoader.resolve
 
     def counting(self, kind, value, implicit):
         resolved.append((value, implicit[0]))
         return resolve(self, kind, value, implicit)
 
-    monkeypatch.setattr(compose._UniqueKeyLoader, "resolve", counting)
+    monkeypatch.setattr(yaml_io._UniqueKeyLoader, "resolve", counting)
     text = "a: [x, x, 1, 1, 'x', 'x', ~, ~]\nx: 1\n"
     first = compose._load_yaml(text)
     calls = list(resolved)
@@ -497,7 +497,7 @@ def test_plain_scalar_tags_are_cached_per_load(yaml_backend, monkeypatch):
 def reference_dump(doc) -> str:
     return yaml.dump(
         doc,
-        Dumper=compose._ComposeDumper,
+        Dumper=yaml_io._ComposeDumper,
         sort_keys=False,
         default_flow_style=False,
         allow_unicode=True,
@@ -633,3 +633,28 @@ def test_dump_yaml_is_linear_in_services():
     small, large = best_of_3(doc(200)), best_of_3(doc(4000))
     # 20x the services: linear cost is ~20x
     assert large < 100 * small, f"200 services {small * 1e3:.1f} ms, 4000 services {large * 1e3:.1f} ms"
+
+
+def test_shared_mapping_dumps_at_streaming_speed():
+    # x-logging: &default-logging {...}, and the last service's logging: *default-logging
+    logging = {"driver": "json-file", "options": {"max-size": "10m", "max-file": "3"}}
+    text = gen.scale_descriptor(random.Random(1), 4000).text
+    doc = {"x-logging": logging, **spec_to_mapping(compose.parse_compose(text))}
+    last = list(doc["services"])[-1]
+    body = doc["services"][last] = doc["services"][last] or {}
+
+    def best_of_3() -> float:
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            compose.dump_yaml(doc)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    body["logging"] = {"driver": "json-file", "options": dict(logging["options"])}
+    plain_s = best_of_3()
+    body["logging"] = logging
+    aliased_s = best_of_3()
+    dumped = compose.dump_yaml(doc)
+    assert dumped.startswith("x-logging: &id001\n") and dumped.count("logging: *id001\n") == 1
+    assert aliased_s < 1.5 * plain_s, f"alias-free {plain_s * 1e3:.0f} ms, one alias {aliased_s * 1e3:.0f} ms"
