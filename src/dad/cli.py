@@ -22,6 +22,7 @@ from pathlib import Path
 from . import compose
 from .consistency import (
     Verdict,
+    _clean,
     check_diagram_against_descriptor,
     compare_models,
     render_report,
@@ -206,7 +207,7 @@ def cmd_check(args) -> int:
         report = round_trip_check(_read_text(path), strict=args.strict)
         rendered = render_report(report, args.report)
         if len(paths) > 1:
-            prefix = f"== {path}\n" if args.report == "text" else f"file\t{path}\n"
+            prefix = f"== {path}\n" if args.report == "text" else f"file\t{_clean(str(path))}\n"
             rendered = prefix + rendered
         blocks.append(rendered)
         worst = max(worst, _EXIT_BY_VERDICT[report.verdict])

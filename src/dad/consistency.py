@@ -244,10 +244,16 @@ def check_diagram_against_descriptor(
     return compare_models(descriptor_model, diagram_model, notes=_residue_notes(spec))
 
 
+# The field separator and every character str.splitlines breaks at: a
+# machine report writes each as a space, so one issue stays one line.
+_FIELD_BREAKS = str.maketrans(dict.fromkeys("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 def _clean(value: str | None) -> str:
     if value is None:
         return ""
-    return value.replace("\t", " ").replace("\n", " ")
+    # each of those characters is unprintable, and most values have none
+    return value if value.isprintable() else value.translate(_FIELD_BREAKS)
 
 
 def render_report(report: ConsistencyReport, fmt: str = "text") -> str:

@@ -1,32 +1,29 @@
 """The YAML layer of ``dad.compose``: descriptor text in, documents out.
 
-``load`` builds a document straight from the parser's events and ``dump``
-writes one by handing events straight to the emitter, so neither runs
-PyYAML's composer, constructor, representer or serializer on the hot path.
-Both use libyaml when PyYAML was built with it and PyYAML's pure-Python
-parser and emitter otherwise. ``dad.compose`` imports this module on its
+``load`` builds a document straight from the parser's events, so it runs
+none of PyYAML's composer or constructor; it uses libyaml's parser when
+PyYAML was built with it and PyYAML's pure-Python parser otherwise. ``dump``
+writes a document of dicts, lists, strings, ints, bools and None as text in
+one pass, and hands any other document to ``yaml.dump`` with dad's dumper;
+the bytes are the same either way. ``dad.compose`` imports this module on its
 first load or dump, so a command that reads no YAML never imports PyYAML.
 """
 
 from __future__ import annotations
 
-import io
-from itertools import chain, count
+import re
 
 import yaml
 from yaml.constructor import SafeConstructor
 from yaml.events import (
     AliasEvent,
-    DocumentEndEvent,
-    DocumentStartEvent,
     MappingEndEvent,
     MappingStartEvent,
     ScalarEvent,
     SequenceEndEvent,
-    SequenceStartEvent,
     StreamEndEvent,
 )
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 from .errors import ComposeSyntaxError
@@ -57,13 +54,11 @@ class _UniqueKeyLoader(_LoaderBase):
 
 
 # Collections open at once. The limit keeps deep input from exhausting the
-# Python stack of whoever walks the loaded document recursively (the
-# representer does, for the sets and pair lists ``dump`` hands it).
+# Python stack of whoever walks the loaded document recursively (yaml.dump
+# does, for the documents ``dump`` hands it).
 _MAX_DEPTH = 100
 
 _STR_TAG = "tag:yaml.org,2002:str"
-_BOOL_TAG = "tag:yaml.org,2002:bool"
-_INT_TAG = "tag:yaml.org,2002:int"
 _NULL_TAG = "tag:yaml.org,2002:null"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 _MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
@@ -364,195 +359,174 @@ _ComposeDumper.add_representer(list, _represent_list)
 
 
 _PLAIN = (True, False)  # resolve() reads the text as a plain scalar
-_MAP_TAG, _SEQ_TAG = _MAP_TAGS[-1], _SEQ_TAGS[-1]
+_resolve = Resolver().resolve
+# The first characters that have implicit resolvers. Resolver has no wildcard
+# resolver, so a text that starts with any other character reads as a string.
+_RESOLVED_FIRSTS = frozenset(Resolver.yaml_implicit_resolvers)
+
+# Non-ASCII text both emitters write as it is with allow_unicode: the
+# printable part of the basic plane but for its line breaks (libyaml escapes
+# the planes above it).
+_WIDE = re.compile("[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd]*")
+_WIDTH = 4096  # the line width dump asks of the emitter
+# ``_text`` leaves deeper documents to yaml.dump, so a value starts before
+# column _MAX_INDENT + 248 (a key's text is at most 246 characters). A value
+# with a space that fits in _MAX_SPACED characters then ends before _WIDTH,
+# where the emitters would fold it.
+_MAX_INDENT = 1000
+_MAX_SPACED = _WIDTH - _MAX_INDENT - 248
+# Keys of this length and longer are written as "? key" by PyYAML's emitter
+# (from 123 characters) or libyaml's (from 129 UTF-8 bytes). PyYAML's writes
+# the empty key that way too.
+_LONG_KEY = 123
 
 
-def _anchors(dumper: _ComposeDumper, doc) -> dict[int, str]:
-    """Name the anchors of ``doc`` before ``_walk`` emits any event.
+def _scalar(text: str) -> str | None:
+    """``text`` as the emitters write it in block context: plain or single-quoted.
 
-    This pass walks ``doc`` in ``_walk``'s order and emits nothing. It numbers
-    the first event of each dict, list and representer node in that order,
-    and names each one the walk reaches again. Names go in the order of
-    those second visits, as PyYAML's serializer gives them. The result maps
-    first-event number to anchor name. The representer's state is reset
-    afterwards, so ``_walk`` starts afresh.
+    None when they would write it some other way: double-quoted, for a line
+    break or a character they escape, or folded at a space near ``_WIDTH``.
     """
-    represent = dumper.represent_data
-    # id of a walked dict or list -> the number of its first event; the
-    # representer keeps its nodes here too, as in _walk
-    numbered = dumper.represented_objects
-    node_numbers: dict = {}  # node from the representer -> the number of its first event
-    anchors: dict[int, str] = {}
-    numbers = count()
+    if text.isascii():
+        if not text.isprintable():
+            return None
+    elif _WIDE.fullmatch(text) is None:
+        return None
+    # PyYAML's Emitter.analyze_scalar and libyaml's yaml_emitter_analyze_scalar
+    # allow a plain scalar in block context unless it starts with a document
+    # marker or an indicator, holds ": " or " #", ends in a colon or has a
+    # space at either end. The empty text is quoted: "" is in any string.
+    if (
+        text[:1] in "#,[]{}&*!|>'\"%@` "
+        or text.startswith(("---", "...", "- ", "? ", ": "))
+        or text in ("-", "?")
+        or text.endswith((" ", ":"))
+        or ": " in text
+        or " #" in text
+        or (text[0] in _RESOLVED_FIRSTS and _resolve(ScalarNode, text, _PLAIN) != _STR_TAG)
+    ):
+        text = "'" + text.replace("'", "''") + "'"
+    if len(text) > _MAX_SPACED and " " in text:
+        return None
+    return text
 
-    def again(number: int) -> None:
-        if number not in anchors:
-            anchors[number] = f"id{len(anchors) + 1:03d}"
 
-    def visit(node) -> None:
-        if node.__class__ is int:  # a dict or list walked below, by its number
-            again(node)
-            return
-        number = node_numbers.get(node)
-        if number is not None:
-            again(number)
-            return
-        node_numbers[node] = next(numbers)
-        if node.__class__ is SequenceNode:
-            for item in node.value:
-                visit(item)
-        elif node.__class__ is MappingNode:
-            for key, item in node.value:
-                visit(key)
-                visit(item)
+def _text(doc) -> str | None:
+    """``doc`` written as block-style YAML in one pass, or None if it holds something else.
 
-    stack = [iter((doc,))]
-    while stack:
-        for value in stack[-1]:
-            cls = value.__class__
-            if cls is str or cls is bool or cls is int or value is None:
-                continue
-            if cls is dict or (cls is list and not (value and value[0].__class__ is tuple)):
-                seen = numbered.get(id(value))
-                if seen is None:
-                    numbered[id(value)] = next(numbers)
-                    stack.append(chain.from_iterable(value.items()) if cls is dict else iter(value))
-                    break
-                again(seen if seen.__class__ is int else node_numbers[seen])
+    The writer takes dicts with str keys, lists, str, int, bool and None.
+    Empty collections are written as ``{}`` and ``[]``, and a list in a list
+    in compact form (``- - a``). A dict or list reached again is an alias of
+    its first occurrence, which left an empty slot in ``out`` for its anchor;
+    anchors are named in the order of the second visits, as PyYAML's
+    serializer names them. Any other value, a collection that holds itself,
+    a key the emitters would write as ``? key`` and a string ``_scalar``
+    cannot write give None.
+    """
+    cls = doc.__class__
+    if cls is not dict and cls is not list:
+        return None
+    if not doc:
+        return "{}\n" if cls is dict else "[]\n"
+    out: list[str] = []
+    write = out.append
+    values: dict[str, str] = {}  # a string value -> its text
+    keys: dict[str, str] = {}  # a key -> its text and colon
+    # id of a dict or list written -> (index of its anchor slot in out, the
+    # indent of the line after the anchor, or None when the line goes on)
+    slots: dict[int, tuple] = {id(doc): (None, None)}
+    names: dict[int, str] = {}  # id of a dict or list reached again -> its anchor name
+    parents: list[tuple] = []  # the state of each open collection above the current one
+    is_map, items, indent, current = cls is dict, iter(doc.items() if cls is dict else doc), "", id(doc)
+    lead = ""  # what the next line starts with
+    while True:
+        # write scalar entries up to a dict or list, or to the end
+        for entry in items:
+            if is_map:
+                key, value = entry
+                text = keys.get(key)
+                if text is None:
+                    text = key.__class__ is str and _scalar(key)
+                    if not key or not text or len(key.encode()) >= _LONG_KEY:
+                        return None
+                    text = keys[key] = text + ":"
+                head = lead + text
             else:
-                visit(represent(value))
-        else:
-            stack.pop()
-    dumper.represented_objects = {}
-    dumper.object_keeper = []
-    return anchors
-
-
-def _walk(dumper: _ComposeDumper, doc, anchors: dict[int, str]) -> None:
-    """Emit the events PyYAML's serializer emits for ``doc``, without its node tree.
-
-    One walk on an explicit stack turns str, int, bool, None, dict and list
-    into events itself. Any other object goes through the dumper's
-    representer (``_represent_set``, ``_represent_list`` for pair lists,
-    floats, dates, bytes) and its node becomes events. An object reached
-    again is an alias of the first. ``anchors`` (from ``_anchors``) names the
-    anchor of each first event by its number in walk order, so every event
-    is emitted as soon as it is made.
-    """
-    resolve, represent, emit = dumper.resolve, dumper.represent_data, dumper.emit
-    # id of a walked dict or list -> its first event; the representer keeps
-    # its nodes here too, so an object it reaches as well is one node
-    firsts = dumper.represented_objects
-    node_firsts: dict = {}  # node from the representer -> its first event
-    plain_tags: dict[str, str] = {}  # text of a scalar -> the tag it reads as when plain
-    # The emitters only read events, so one event serves every occurrence of
-    # a string, and one every start without an anchor and every end.
-    str_events: dict[str, ScalarEvent] = {}
-    map_start = MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
-    seq_start = SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
-    map_end, seq_end = MappingEndEvent(), SequenceEndEvent()
-    numbers = count()
-
-    def scalar(tag: str, text: str) -> ScalarEvent:
-        plain = plain_tags.get(text)
-        if plain is None:
-            plain = plain_tags[text] = resolve(ScalarNode, text, _PLAIN)
-        return ScalarEvent(None, tag, (plain == tag, False), text)
-
-    def first_event(node, event) -> None:
-        node_firsts[node] = event
-        emit(event)
-
-    def node_events(node) -> None:
-        # Serializer.serialize_node
-        if not isinstance(node, (ScalarNode, SequenceNode, MappingNode)):
-            emit(AliasEvent(node.anchor))  # the first event of a dict or list walked below
-            return
-        if node in node_firsts:
-            emit(AliasEvent(node_firsts[node].anchor))
-            return
-        anchor = anchors.get(next(numbers))
-        tag, value = node.tag, node.value
-        if node.__class__ is ScalarNode:
-            implicit = (
-                tag == resolve(ScalarNode, value, _PLAIN),
-                tag == resolve(ScalarNode, value, (False, True)),
-            )
-            first_event(node, ScalarEvent(anchor, tag, implicit, value, style=node.style))
-            return
-        implicit = tag == resolve(node.__class__, value, True)
-        if node.__class__ is SequenceNode:
-            first_event(node, SequenceStartEvent(anchor, tag, implicit, flow_style=node.flow_style))
-            for item in value:
-                node_events(item)
-            emit(seq_end)
-        else:
-            first_event(node, MappingStartEvent(anchor, tag, implicit, flow_style=node.flow_style))
-            for key, item in value:
-                node_events(key)
-                node_events(item)
-            emit(map_end)
-
-    stack = [(iter((doc,)), None)]
-    while stack:
-        items, end = stack[-1]
-        for value in items:
+                value = entry
+                head = lead + "-"
+            lead = indent
             cls = value.__class__
             if cls is str:
-                event = str_events.get(value)
-                if event is None:
-                    plain = resolve(ScalarNode, value, _PLAIN)
-                    # a quoted scalar always reads as a string
-                    implicit = (plain == _STR_TAG, True)
-                    event = str_events[value] = ScalarEvent(None, _STR_TAG, implicit, value)
-                emit(event)
-            # a list that starts with a tuple may be a pair list: _represent_list decides
-            elif cls is dict or (cls is list and not (value and value[0].__class__ is tuple)):
-                first = firsts.get(id(value))
-                if first is not None:
-                    emit(AliasEvent(node_firsts.get(first, first).anchor))
-                    continue
-                anchor = anchors.get(next(numbers))
-                if cls is dict:
-                    first = map_start
-                    if anchor is not None:
-                        first = MappingStartEvent(anchor, _MAP_TAG, True, flow_style=False)
-                    stack.append((chain.from_iterable(value.items()), map_end))
-                else:
-                    first = seq_start
-                    if anchor is not None:
-                        first = SequenceStartEvent(anchor, _SEQ_TAG, True, flow_style=False)
-                    stack.append((iter(value), seq_end))
-                firsts[id(value)] = first
-                emit(first)
+                written = values.get(value)
+                if written is None:
+                    written = values[value] = _scalar(value)
+                    if written is None:
+                        return None
+                write(f"{head} {written}\n")
+            elif cls is dict or cls is list:
                 break
-            elif cls is bool:
-                emit(scalar(_BOOL_TAG, "true" if value else "false"))
-            elif cls is int:
-                emit(scalar(_INT_TAG, str(value)))
             elif value is None:  # a bare key, as the representer of _ComposeDumper writes it
-                emit(scalar(_NULL_TAG, ""))
+                write(head + "\n")
+            elif cls is bool:
+                write(head + (" true\n" if value else " false\n"))
+            elif cls is int:
+                write(f"{head} {value}\n")
             else:
-                node_events(represent(value))
+                return None
+        else:  # the collection is written
+            if not parents:
+                return "".join(out)
+            is_map, items, indent, current = parents.pop()
+            lead = indent
+            continue
+        key = id(value)
+        if key in slots:  # reached again: an alias
+            name = names.get(key)
+            if name is None:
+                if key == current or any(parent[3] == key for parent in parents):
+                    return None
+                index, after = slots[key]
+                name = names[key] = f"id{len(names) + 1:03d}"
+                out[index] = f" &{name}" if after is None else f"&{name}\n{after}"
+            write(f"{head} *{name}\n")
+        elif not value:
+            write(head)
+            slots[key] = (len(out), None)
+            write("")
+            write(" {}\n" if cls is dict else " []\n")
         else:
-            stack.pop()
-            if end is not None:
-                emit(end)
+            parents.append((is_map, items, indent, current))
+            if is_map:  # the collection starts on the next line
+                write(head)
+                if cls is dict:
+                    indent += "  "
+                slots[key] = (len(out), None)
+                lead = "\n" + indent
+            else:  # it starts after the dash
+                write(head + " ")
+                indent += "  "
+                slots[key] = (len(out), indent)
+                lead = ""
+            write("")
+            if len(indent) > _MAX_INDENT:
+                return None
+            is_map, items, current = cls is dict, iter(value.items() if cls is dict else value), key
 
 
 def dump(doc) -> str:
-    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with ``_ComposeDumper``."""
-    stream = io.StringIO()
-    dumper = _ComposeDumper(
-        stream, default_flow_style=False, allow_unicode=True, width=4096, sort_keys=False
-    )
-    try:
-        anchors = _anchors(dumper, doc)
-        dumper.open()
-        dumper.emit(DocumentStartEvent())
-        _walk(dumper, doc, anchors)
-        dumper.emit(DocumentEndEvent())
-        dumper.close()
-    finally:
-        dumper.dispose()
-    return stream.getvalue()
+    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with ``_ComposeDumper``.
+
+    ``_text`` writes the documents it covers; everything else goes to that
+    ``yaml.dump`` call itself.
+    """
+    text = _text(doc)
+    if text is None:
+        text = yaml.dump(
+            doc,
+            Dumper=_ComposeDumper,
+            sort_keys=False,
+            default_flow_style=False,
+            allow_unicode=True,
+            width=_WIDTH,
+        )
+    return text

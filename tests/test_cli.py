@@ -577,3 +577,37 @@ class TestColdProcess:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "verdict: Consistent" in proc.stdout
+
+
+# A name holding a character str.splitlines breaks at: "\r" as a DaC string
+# escape, U+2028 as it is (universal newlines leave it alone when reading).
+LINE_BREAKING_NAMES = {"CR": ("a\\rb", "\r"), "LS": ("a\u2028b", "\u2028")}
+
+
+@pytest.mark.parametrize("name,char", LINE_BREAKING_NAMES.values(), ids=LINE_BREAKING_NAMES.keys())
+def test_machine_report_keeps_a_line_breaking_name_on_one_line(capsys, tmp_path, name, char):
+    script = 'with DaC("t", direction="TB"):\n  with Cluster("web service"):\n    web = Server("web")  # image=nginx\n'
+    left, right = tmp_path / "left.dac", tmp_path / "right.dac"
+    left.write_text(script, encoding="utf-8")
+    right.write_text(
+        script + f'  with Cluster("x service"):\n    x = Server("{name}")  # image=nginx\n', encoding="utf-8"
+    )
+    code, out, err = run(capsys, "diff", "-i", str(left), "-i", str(right), "--report", "machine")
+    assert code == EXIT_INCONSISTENT, err
+    assert out.splitlines() == [
+        "verdict\tInconsistent",
+        "stats\t1\t0\t2\t0",
+        "ExtraNode\tservices.a b\t\timage=nginx",
+    ]
+
+    # the batch header of a file whose name holds the character
+    odd = tmp_path / f"a{char}b.yml"
+    odd.write_text((CORPUS / "lamp.yml").read_text(encoding="utf-8"), encoding="utf-8")
+    code, out, err = run(
+        capsys, "check", "-i", str(odd), "-i", str(CORPUS / "elk.yml"), "--report", "machine"
+    )
+    assert code == EXIT_OK, err
+    lines = out.splitlines()
+    assert f"file\t{tmp_path / 'a b.yml'}" in lines
+    assert f"file\t{CORPUS / 'elk.yml'}" in lines
+    assert sum(line.startswith("verdict\t") for line in lines) == 2

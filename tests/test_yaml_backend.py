@@ -658,3 +658,129 @@ def test_shared_mapping_dumps_at_streaming_speed():
     dumped = compose.dump_yaml(doc)
     assert dumped.startswith("x-logging: &id001\n") and dumped.count("logging: *id001\n") == 1
     assert aliased_s < 1.5 * plain_s, f"alias-free {plain_s * 1e3:.0f} ms, one alias {aliased_s * 1e3:.0f} ms"
+
+
+# Probes of the emitters' choice between plain and single-quoted text.
+WRITTEN_PLAIN = ["-x", "a#b", "a,b", "${A:-b}", "5432:5432", "?x", ":x", "it's", "ü ö"]
+WRITTEN_QUOTED = ["-", "...x", "---", "a: b", "a #b", "{x}", "1:30", "", "x:", " a", "'a"]
+
+
+def test_text_writer_quotes_like_the_emitters(yaml_backend):
+    # the longest keys either emitter still writes as "key:"
+    doc = {"plain": WRITTEN_PLAIN, "quoted": WRITTEN_QUOTED, "k" * 122: 1, "é" * 61: 2}
+    text = yaml_io._text(doc)
+    assert text == reference_dump(doc)
+    lines = text.splitlines()
+    assert lines[1:10] == [f"- {plain}" for plain in WRITTEN_PLAIN]
+    assert lines[11:14] == ["- '-'", "- '...x'", "- '---'"] and lines[-3] == "- '''a'"
+
+
+# Documents the text writer leaves to yaml.dump, each for one reason.
+FALLBACKS = {
+    "empty key": {"": 1},
+    "key of 123 characters": {"k" * 123: 1},
+    "key of 123 UTF-8 bytes": {"é" * 61 + "k": 1},
+    "line break": {"a": "x\ny"},
+    "line separator": {"a": "a\u2028b"},
+    "next line": {"a": "a\x85b"},
+    "beyond the basic plane": {"a": "\U0001f600"},
+    "tab": {"a": "\tx"},
+    "folded near the width": {"a": "x " * 1500},
+    "float": {"a": [1.5]},
+    "tuple": {"a": ("b",)},
+    "int key": {1: "a"},
+    "str subclass": {"a": type("Name", (str,), {})("b")},
+    "holds itself": _recursive_cases()["recursive map"],
+}
+
+
+@pytest.mark.parametrize("doc", FALLBACKS.values(), ids=FALLBACKS.keys())
+def test_text_writer_leaves_the_rest_to_yaml_dump(yaml_backend, doc):
+    assert yaml_io._text(doc) is None
+    if doc is FALLBACKS["str subclass"]:  # the representer refuses it
+        with pytest.raises(yaml.representer.RepresenterError):
+            compose.dump_yaml(doc)
+    else:
+        assert compose.dump_yaml(doc) == reference_dump(doc)
+
+
+# Letters, digits, space, a few lookalike starters and every YAML indicator:
+# the characters that decide between plain and single-quoted text.
+ADVERSARIAL = "ab09 .~=<" + "-?:,[]{}#&*!|>'\"%@`"
+# Texts at the edge of that decision, most of them written plain by one rule
+# and quoted by the next.
+EDGE_TEXTS = ["...x", "---", "-", "-x", "?", "?x", ":x", "x:", "a: b", "a #b", "a#b", "a,b",
+              "${A:-b}", "5432:5432", "{x}", "0x1F", "1:30", "1_000", ".inf", "y", "on", "<<", "=",
+              "", " a", "a ", "it's", "ü ö", "漢字"]
+
+edge_strings = st.one_of(st.text(st.sampled_from(ADVERSARIAL), max_size=8), st.sampled_from(EDGE_TEXTS))
+edge_keys = st.one_of(st.text(st.sampled_from(ADVERSARIAL), min_size=1, max_size=8), st.sampled_from(EDGE_TEXTS))
+edge_scalars = st.one_of(st.none(), st.booleans(), st.integers(), edge_strings)
+
+
+def edge_trees(depth: int):
+    if depth == 0:
+        return edge_scalars
+    children = edge_trees(depth - 1)
+    return st.one_of(
+        edge_scalars,
+        st.lists(children, max_size=3),
+        st.dictionaries(edge_keys, children, max_size=3),
+    )
+
+
+def collections_in(tree) -> list:
+    """Every dict and list in ``tree``, the tree included, in document order."""
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            found.append(node)
+            stack.extend(reversed(list(node.values() if isinstance(node, dict) else node)))
+    return found
+
+
+@st.composite
+def edge_documents(draw):
+    """A tree of the text writer's types; some share sub-trees or carry a long key."""
+    tree = draw(edge_trees(4))
+    doc = {"root": tree}
+    shared = collections_in(tree)
+    if shared and draw(st.booleans()):
+        doc["again"] = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        length = draw(st.integers(120, 130))
+        doc[draw(st.text(st.sampled_from(ADVERSARIAL), min_size=length, max_size=length))] = tree
+    return doc
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_text_writer_matches_the_reference(backend):
+    written = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(doc=edge_documents())
+    def check(doc):
+        assert compose.dump_yaml(doc) == reference_dump(doc)
+        written.append(yaml_io._text(doc) is not None)
+
+    if backend == "python":
+        with python_backend():
+            check()
+    else:
+        check()
+    # the property is about the writer: most documents must not reach yaml.dump
+    assert sum(written) > 0.6 * len(written), f"{sum(written)} of {len(written)} written as text"
+
+
+def test_benchmark_documents_take_the_text_path():
+    docs: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compose, "dump_yaml", lambda doc: docs.append(doc) or "")
+        # scale_check's largest descriptor
+        spec = compose.parse_compose(gen.scale_descriptor(random.Random(1), 300).text)
+        compose.serialize_compose(spec)
+        emit_compose(compose.lower(spec))
+    assert len(docs) == 2
+    for doc in (*dumped_documents(), *docs):
+        assert yaml_io._text(doc) is not None
