@@ -6,6 +6,8 @@ container_name, depends_on, links, named-volume mounts, networks) and an
 opaque ``residue`` holding every other key verbatim under its full path.
 Residue is preserved for reporting and re-serialization but never reaches a
 diagram, so two descriptors differing only in residue lower to equal models.
+``unlower`` goes the other way, from a model to a spec with no residue, so
+``serialize_compose`` is the one writer of descriptor text.
 
 All functions are pure; distinct files can be parsed concurrently.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import LoweringError, SchemaError
+from .errors import EmitError, LoweringError, SchemaError
 from .model import (
     ArchModel,
     BuildRef,
@@ -268,6 +270,9 @@ def _parse_mounts(value, svc: str, path: str, spec: ComposeSpec) -> list[MountRe
         raise SchemaError(path, f"must be a list, got {type(value).__name__}")
     mounts: list[MountRef] = []
     passthrough: list[object] = []
+    # a mount's options are residue keyed by volume:target, so a repeat would
+    # share the first one's key
+    seen: set[tuple[str, str]] = set()
     for item in value:
         mount = None
         if isinstance(item, str):
@@ -275,6 +280,10 @@ def _parse_mounts(value, svc: str, path: str, spec: ComposeSpec) -> list[MountRe
         elif isinstance(item, dict):
             mount = _parse_long_mount(item, svc, spec)
         if mount is not None:
+            key = (mount.volume, mount.target)
+            if key in seen:
+                raise SchemaError(path, f"mounts {mount.volume}:{mount.target} twice")
+            seen.add(key)
             mounts.append(mount)
         else:
             passthrough.append(item)
@@ -394,13 +403,14 @@ def lower(spec: ComposeSpec, strict: bool = False, fallback_title: str = "system
     The title comes from the descriptor's top-level ``name`` key when present,
     else ``fallback_title``.
     """
-    unresolved = [
-        issue for issue in validate(spec, strict=True) if issue.code == "DanglingReference"
-    ]
-    if strict and unresolved:
-        raise LoweringError(
-            "unresolved references: " + "; ".join(issue.path for issue in unresolved)
-        )
+    if strict:
+        unresolved = [
+            issue for issue in validate(spec, strict=True) if issue.code == "DanglingReference"
+        ]
+        if unresolved:
+            raise LoweringError(
+                "unresolved references: " + "; ".join(issue.path for issue in unresolved)
+            )
 
     services: list[ServiceNode] = []
     for name, entry in spec.services.items():
@@ -458,6 +468,47 @@ def lower(spec: ComposeSpec, strict: bool = False, fallback_title: str = "system
         volumes=tuple(volumes),
         networks=tuple(networks),
         edges=tuple(edges),
+    )
+
+
+def unlower(model: ArchModel) -> ComposeSpec:
+    """The spec without residue that lowers back to ``model``, which must be valid.
+
+    Services follow model order; each one's depends_on, links, mounts and
+    networks follow edge order. Phantom volumes and networks stay undeclared,
+    and so does a phantom service with no edges of its own: none was declared
+    in any descriptor, and a lenient reparse synthesizes them again. A mount
+    edge needs its target path back; refusing to invent one (EmitError) keeps
+    the round trip honest.
+    """
+    entries = {
+        svc.name: ServiceEntry(svc.image, svc.build, svc.container_name) for svc in model.services
+    }
+    for edge in model.edges:
+        entry = entries[edge.src]
+        kind = edge.kind
+        if kind is EdgeKind.DEPENDENCY:
+            entry.depends_on.append(edge.dst)
+        elif kind is EdgeKind.LINK:
+            entry.links.append(edge.dst)
+        elif kind is EdgeKind.MOUNT:
+            if edge.target is None:
+                raise EmitError(
+                    f"mount {edge.src} - {edge.dst} has no target path; "
+                    "cannot place it in a descriptor"
+                )
+            entry.volumes.append(MountRef(edge.dst, edge.target))
+        else:
+            entry.networks.append(edge.dst)
+    sources = {edge.src for edge in model.edges}
+    return ComposeSpec(
+        services={
+            svc.name: entries[svc.name]
+            for svc in model.services
+            if not svc.phantom or svc.name in sources
+        },
+        volumes=[v.name for v in model.volumes if not v.phantom],
+        networks=[n.name for n in model.networks if not n.phantom],
     )
 
 
@@ -546,14 +597,10 @@ def _service_body(groups: dict[ResiduePath, dict], name: str, entry: ServiceEntr
     return body or None
 
 
-def needs_long_mount(target: str) -> bool:
-    """The short form ``volume:target[:mode]`` would drop this target or split it."""
-    return not target or ":" in target
-
-
 def _mount_item(groups: dict[ResiduePath, dict], owner: ResiduePath, mount: MountRef):
     extras = groups.get((*owner, "volumes", f"{mount.volume}:{mount.target}"), {})
-    if not needs_long_mount(mount.target):
+    # the short form volume:target[:mode] would drop an empty target or split one holding ":"
+    if mount.target and ":" not in mount.target:
         if not extras:
             return f"{mount.volume}:{mount.target}"
         if set(extras) == {"mode"}:

@@ -106,12 +106,6 @@ def _diff_named_section(
                 )
 
 
-def _canonical(model: ArchModel | CanonicalForm) -> CanonicalForm:
-    # a form that is already canonical is used as is, so that one compare
-    # canonicalizes each side once
-    return model if isinstance(model, CanonicalForm) else canonicalize(model)
-
-
 def diff_models(
     left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm
 ) -> list[DiffEntry]:
@@ -121,7 +115,7 @@ def diff_models(
     first; a paired mount whose targets disagree is one AttributeMismatch
     rather than a missing/extra pair.
     """
-    ca, cb = _canonical(left), _canonical(right)
+    ca, cb = canonicalize(left), canonicalize(right)
     entries: list[DiffEntry] = []
 
     _diff_named_section("services", dict(ca.services), dict(cb.services), entries)
@@ -155,12 +149,13 @@ def diff_models(
     return entries
 
 
-def _stats(ca: CanonicalForm, cb: CanonicalForm) -> ReportStats:
+def _stats(left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm) -> ReportStats:
+    # a model and its canonical form hold the same number of each element
     return ReportStats(
-        left_nodes=ca.node_count(),
-        left_edges=ca.edge_count(),
-        right_nodes=cb.node_count(),
-        right_edges=cb.edge_count(),
+        left_nodes=len(left.services) + len(left.volumes) + len(left.networks),
+        left_edges=len(left.edges),
+        right_nodes=len(right.services) + len(right.volumes) + len(right.networks),
+        right_edges=len(right.edges),
     )
 
 
@@ -178,12 +173,11 @@ def compare_models(
     notes: tuple[str, ...] = (),
 ) -> ConsistencyReport:
     """Diff two already-built models and wrap the result in a report."""
-    ca, cb = canonicalize(left), canonicalize(right)
-    entries = diff_models(ca, cb)
+    entries = diff_models(left, right)
     return ConsistencyReport(
         verdict=_verdict_for(entries),
         issues=tuple(entries),
-        stats=_stats(ca, cb),
+        stats=_stats(left, right),
         notes=notes,
     )
 

@@ -3,9 +3,10 @@
 This is the inverse pipeline. parse_dac accepts exactly the grammar that
 dac_emit writes (see the grammar block there); lift turns the AST back into
 the graph model; emit_compose renders the model as descriptor text containing
-exactly the retained subset. Columns are fixed by the indentation grammar
-(clusters and edges start at column 3, nodes at column 5), so elements track
-their line number only.
+exactly the retained subset. It is ``serialize_compose(unlower(model))`` from
+``compose``, so it writes mounts and builds as every descriptor is written.
+Columns are fixed by the indentation grammar (clusters and edges start at
+column 3, nodes at column 5), so elements track their line number only.
 
 The reader is a single pass: parse_dac visits each line once, matching it
 against one pattern chosen by its indentation (node lines) or against the
@@ -17,13 +18,11 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .dac_emit import decode_annot_value, unescape_quoted
+from .dac_emit import _checked, decode_annot_value, unescape_quoted
 from .errors import (
     DacSyntaxError,
     DuplicateIdentError,
-    EmitError,
     LiftError,
-    ModelError,
     UndeclaredIdentError,
 )
 from .model import (
@@ -348,66 +347,13 @@ def lift(ast: DacAst) -> ArchModel:
     return model
 
 
-def _mount_item(edge: Edge) -> str | dict:
-    if compose.needs_long_mount(edge.target):
-        return {"type": "volume", "source": edge.dst, "target": edge.target}
-    return f"{edge.dst}:{edge.target}"
-
-
 def emit_compose(model: ArchModel) -> str:
     """Render the model as descriptor text holding exactly the retained subset.
 
-    Key order follows model order. Phantom nodes are not declared (they were
-    never declared in any descriptor) but edges to them remain, so a lenient
-    reparse resynthesizes them. Mount edges need their target path back;
-    refusing to invent one keeps the round trip honest.
+    This is ``serialize_compose(unlower(model))``, so mounts and builds are
+    written as ``dad`` writes them from any descriptor. Key order follows
+    model order, phantom nodes stay undeclared unless a phantom service has
+    edges of its own, and a mount edge without a target path is refused
+    (EmitError), as is a model that fails ``ArchModel.validate``.
     """
-    try:
-        model.validate()
-    except ModelError as exc:
-        raise EmitError(f"refusing to emit invalid model: {exc}") from exc
-
-    by_service: dict[str, dict[EdgeKind, list[Edge]]] = {}
-    for edge in model.edges:
-        if edge.kind is EdgeKind.MOUNT and edge.target is None:
-            raise EmitError(
-                f"mount {edge.src} - {edge.dst} has no target path; cannot place it in a descriptor"
-            )
-        by_service.setdefault(edge.src, {}).setdefault(edge.kind, []).append(edge)
-
-    services: dict[str, dict | None] = {}
-    for node in model.services:
-        if node.phantom and not by_service.get(node.name):
-            continue  # pure reference targets stay undeclared, as in the source
-        body: dict = {}
-        if node.image is not None:
-            body["image"] = node.image
-        if node.build is not None:
-            if node.build.dockerfile is None:
-                body["build"] = node.build.context
-            else:
-                body["build"] = {
-                    "context": node.build.context,
-                    "dockerfile": node.build.dockerfile,
-                }
-        if node.container_name is not None:
-            body["container_name"] = node.container_name
-        mine = by_service.get(node.name, {})
-        if EdgeKind.DEPENDENCY in mine:
-            body["depends_on"] = [e.dst for e in mine[EdgeKind.DEPENDENCY]]
-        if EdgeKind.LINK in mine:
-            body["links"] = [e.dst for e in mine[EdgeKind.LINK]]
-        if EdgeKind.MOUNT in mine:
-            body["volumes"] = [_mount_item(e) for e in mine[EdgeKind.MOUNT]]
-        if EdgeKind.ATTACHMENT in mine:
-            body["networks"] = [e.dst for e in mine[EdgeKind.ATTACHMENT]]
-        services[node.name] = body or None
-
-    doc: dict = {"services": services}
-    declared_volumes = [v.name for v in model.volumes if not v.phantom]
-    declared_networks = [n.name for n in model.networks if not n.phantom]
-    if declared_volumes:
-        doc["volumes"] = {name: None for name in declared_volumes}
-    if declared_networks:
-        doc["networks"] = {name: None for name in declared_networks}
-    return compose.dump_yaml(doc)
+    return compose.serialize_compose(compose.unlower(_checked(model)))

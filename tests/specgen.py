@@ -6,7 +6,11 @@ caller-supplied random.Random so failures reproduce from the seed.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import yaml
 
@@ -24,6 +28,17 @@ IMAGES = [
     "node:20-alpine", "rabbitmq:3", "traefik:v3.0", "memcached:1.6", "golang:1.22",
 ]
 RESIDUE_PORTS = ["80:80", "443:443", "5432:5432", "8080:80", "6379:6379"]
+
+
+@functools.cache
+def perfbench_gen():
+    """The benchmark's seeded descriptor generator, ``perfbench/gen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _names(rng: random.Random, pool: list[str], count: int) -> list[str]:

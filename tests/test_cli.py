@@ -325,6 +325,24 @@ class TestCheck:
         assert f"error: {message}\n" in err
 
 
+    @pytest.mark.parametrize(
+        "mounts",
+        ["[data:/a:ro, data:/a:rw]", "[{type: volume, source: data, target: /a}, data:/a:ro]"],
+        ids=["short", "long"],
+    )
+    def test_repeated_mount_is_invalid(self, capsys, tmp_path, mounts):
+        src = tmp_path / "repeat.yml"
+        src.write_text(
+            f"services:\n  app:\n    image: x\n    volumes: {mounts}\nvolumes:\n  data:\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "check", "-i", str(src))
+        assert (code, out) == (
+            EXIT_INVALID,
+            "verdict: Invalid\nerror: services.app.volumes: mounts data:/a twice\n",
+        )
+
+
 class TestDiff:
     def test_identical_descriptors(self, capsys):
         path = str(CORPUS / "monitoring.yml")

@@ -6,11 +6,13 @@ import random
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 
 from dad.compose import (
+    ComposeSpec,
     MountRef,
     ServiceEntry,
     issues_ok,
@@ -18,6 +20,7 @@ from dad.compose import (
     parse_compose,
     serialize_compose,
     spec_to_mapping,
+    unlower,
     validate,
 )
 from dad.consistency import Verdict, round_trip_check
@@ -25,6 +28,8 @@ from dad.errors import ComposeSyntaxError, LoweringError, SchemaError
 from dad.model import BuildRef, EdgeKind
 
 from specgen import doc_to_yaml, gen_descriptor_doc
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 WEB_STACK = textwrap.dedent(
     """\
@@ -226,6 +231,24 @@ class TestParseErrors:
             parse_compose(snippet)
         assert path_fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "mounts",
+        [
+            "[data:/a:ro, data:/a:rw]",
+            "[{type: volume, source: data, target: /a, read_only: true},"
+            " {type: volume, source: data, target: /a}]",
+            "[data:/a, {type: volume, source: data, target: /a}]",
+        ],
+        ids=["short", "long", "mixed"],
+    )
+    def test_repeated_mount_rejected(self, mounts):
+        # a mount's options are keyed by volume:target, so a repeat used to
+        # come back with the other mount's options
+        text = f"services:\n  app:\n    image: x\n    volumes: {mounts}\nvolumes:\n  data:\n"
+        with pytest.raises(SchemaError) as err:
+            parse_compose(text)
+        assert str(err.value) == "services.app.volumes: mounts data:/a twice"
+
 
 class TestValidate:
     def test_clean_spec_has_no_issues(self):
@@ -332,6 +355,16 @@ class TestLower:
         assert lower(parse_compose("name: billing stack\nservices: {}\n")).title == "billing stack"
         assert lower(parse_compose("services: {}\n")).title == "system"
         assert lower(parse_compose("services: {}\n"), fallback_title="alt").title == "alt"
+
+
+class TestUnlower:
+    def test_inverts_lower(self):
+        rng = random.Random(17)
+        texts = [doc_to_yaml(gen_descriptor_doc(rng)) for _ in range(200)]
+        texts += [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.yml"))]
+        for text in texts:
+            spec = parse_compose(text)
+            assert unlower(lower(spec)) == ComposeSpec(spec.services, spec.volumes, spec.networks)
 
 
 class TestMergeKeys:

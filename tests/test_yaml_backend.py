@@ -9,9 +9,7 @@ references are kept below.
 
 import datetime
 import functools
-import importlib.util
 import random
-import sys
 import time
 from pathlib import Path
 
@@ -27,22 +25,13 @@ from dad.errors import ComposeSyntaxError, DadError
 from dad.model import BuildRef
 
 from backends import on_both_backends, python_backend
-from specgen import doc_to_yaml, gen_descriptor_doc
+from specgen import doc_to_yaml, gen_descriptor_doc, perfbench_gen
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
 
-def _load_gen():
-    """The benchmark's seeded descriptor generator, ``perfbench/gen.py``."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _load_gen()
+gen = perfbench_gen()
 
 
 def test_backend_follows_libyaml_availability():
