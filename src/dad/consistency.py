@@ -8,14 +8,14 @@ diagrams by design; it never sways a verdict and is surfaced as notes.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 
 from . import compose
 from .dac_emit import emit_dac
 from .dac_ingest import emit_compose, lift, parse_dac
 from .errors import DadError
-from .model import ArchModel, CanonicalForm, canonicalize, record
+from .model import ArchModel, CanonicalForm, keyed, record
+from .model import canonicalize  # noqa: F401  (callers still read it from this module)
 
 
 class Verdict(Enum):
@@ -86,55 +86,69 @@ def _diff_named_section(
     right: dict[str, tuple[tuple[str, str], ...]],
     entries: list[DiffEntry],
 ) -> None:
-    for name in left.keys() - right.keys():
-        entries.append(
-            DiffEntry(DiffKind.MISSING_NODE, f"{section}.{name}", left=_render_attrs(left[name]))
-        )
-    for name in right.keys() - left.keys():
-        entries.append(
-            DiffEntry(DiffKind.EXTRA_NODE, f"{section}.{name}", right=_render_attrs(right[name]))
-        )
-    for name in left.keys() & right.keys():
-        left_attrs, right_attrs = dict(left[name]), dict(right[name])
-        for key in sorted(left_attrs.keys() | right_attrs.keys()):
-            lv, rv = left_attrs.get(key, ""), right_attrs.get(key, "")
-            if lv != rv:
-                entries.append(
-                    DiffEntry(
-                        DiffKind.ATTRIBUTE_MISMATCH, f"{section}.{name}.{key}", left=lv, right=rv
+    # only the names whose attribute pairs differ; diff_models sorts the entries
+    for name in {name for name, _ in left.items() ^ right.items()}:
+        if name not in right:
+            entries.append(
+                DiffEntry(DiffKind.MISSING_NODE, f"{section}.{name}", left=_render_attrs(left[name]))
+            )
+        elif name not in left:
+            entries.append(
+                DiffEntry(DiffKind.EXTRA_NODE, f"{section}.{name}", right=_render_attrs(right[name]))
+            )
+        else:
+            left_attrs, right_attrs = dict(left[name]), dict(right[name])
+            for key in left_attrs.keys() | right_attrs.keys():
+                # an attribute set to "" differs from one that is absent
+                lv, rv = left_attrs.get(key), right_attrs.get(key)
+                if lv != rv:
+                    entries.append(
+                        DiffEntry(
+                            DiffKind.ATTRIBUTE_MISMATCH,
+                            f"{section}.{name}.{key}",
+                            left="" if lv is None else lv,
+                            right="" if rv is None else rv,
+                        )
                     )
-                )
 
 
 def diff_models(
     left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm
 ) -> list[DiffEntry]:
-    """Structural difference of the canonical forms, deterministic and sorted.
+    """Structural difference of two models, deterministic and sorted.
 
-    Nodes pair by name, edges by (kind, src, dst) with exact matches consumed
-    first; a paired mount whose targets disagree is one AttributeMismatch
-    rather than a missing/extra pair.
+    The list is empty exactly when ``model_equal`` holds. Nodes pair by name,
+    edges by (kind, src, dst) with exact matches consumed first; a paired
+    mount whose targets disagree is one AttributeMismatch rather than a
+    missing/extra pair. Each side is keyed once (``keyed``), the keyed forms
+    are compared with set operations, and only the differences are sorted, so
+    the cost is linear in the models plus a sort of what differs.
     """
-    ca, cb = canonicalize(left), canonicalize(right)
+    lk, rk = keyed(left), keyed(right)
     entries: list[DiffEntry] = []
 
-    _diff_named_section("services", dict(ca.services), dict(cb.services), entries)
+    _diff_named_section("services", lk.services, rk.services, entries)
     _diff_named_section(
-        "volumes", {n: () for n in ca.volumes}, {n: () for n in cb.volumes}, entries
+        "volumes", dict.fromkeys(lk.volumes, ()), dict.fromkeys(rk.volumes, ()), entries
     )
     _diff_named_section(
-        "networks", {n: () for n in ca.networks}, {n: () for n in cb.networks}, entries
+        "networks", dict.fromkeys(lk.networks, ()), dict.fromkeys(rk.networks, ()), entries
     )
 
-    # leftover edges, grouped by (kind, src, dst) into sorted (left, right) targets
-    left_edges, right_edges = Counter(ca.edges), Counter(cb.edges)
+    # leftover edges: the keys whose counts differ, sorted, grouped by
+    # (kind, src, dst) into sorted (left, right) targets
+    left_edges, right_edges = lk.edges, rk.edges
     groups: dict[tuple[str, str, str], tuple[list[str], list[str]]] = {}
-    for side, rest in enumerate((left_edges - right_edges, right_edges - left_edges)):
-        for kind, src, dst, target in sorted(rest.elements()):
-            groups.setdefault((kind, src, dst), ([], []))[side].append(target)
-    for kind, src, dst in sorted(groups):
+    for key in sorted({key for key, _ in left_edges.items() ^ right_edges.items()}):
+        kind, src, dst, target = key
+        surplus = left_edges[key] - right_edges[key]
+        l_targets, r_targets = groups.setdefault((kind, src, dst), ([], []))
+        if surplus > 0:
+            l_targets.extend([target] * surplus)
+        else:
+            r_targets.extend([target] * -surplus)
+    for (kind, src, dst), (l_targets, r_targets) in groups.items():
         subject = f"edges.{kind}.{src}->{dst}"
-        l_targets, r_targets = groups[kind, src, dst]
         paired = min(len(l_targets), len(r_targets))
         for lv, rv in zip(l_targets[:paired], r_targets[:paired]):
             entries.append(

@@ -2,9 +2,10 @@
 
 The model keeps two orders at once. Node and edge tuples preserve the order in
 which elements appeared in the source text, so emission is order-faithful.
-``canonicalize`` projects a model onto a fully sorted :class:`CanonicalForm`,
-which is the equality oracle used by every consistency check: two models are
-"the same architecture" exactly when their canonical forms are equal.
+``keyed`` projects a model onto an unsorted :class:`KeyedForm` of name and
+edge tables, and ``canonicalize`` sorts that into a :class:`CanonicalForm`,
+which is the equality oracle: two models are "the same architecture" exactly
+when their canonical forms are equal. The diff compares keyed forms directly.
 
 All values are immutable records, made by :func:`record`, and every operation
 here is a pure function. A record keeps its fields' order, defaults and
@@ -16,7 +17,7 @@ It equals only a record of its own type, so ``VolumeNode("a")`` differs from
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 
 from .errors import CycleError, ModelError
@@ -267,32 +268,66 @@ class CanonicalForm:
 
 
 def _service_attrs(svc: ServiceNode) -> tuple[tuple[str, str], ...]:
-    attrs: dict[str, str] = {}
-    if svc.image is not None:
-        attrs["image"] = svc.image
+    # appended in key order: build_context, build_dockerfile, container_name, image
+    attrs = []
     if svc.build is not None:
-        attrs["build_context"] = svc.build.context
+        attrs.append(("build_context", svc.build.context))
         if svc.build.dockerfile is not None:
-            attrs["build_dockerfile"] = svc.build.dockerfile
+            attrs.append(("build_dockerfile", svc.build.dockerfile))
     if svc.container_name is not None:
-        attrs["container_name"] = svc.container_name
-    return tuple(sorted(attrs.items()))
+        attrs.append(("container_name", svc.container_name))
+    if svc.image is not None:
+        attrs.append(("image", svc.image))
+    return tuple(attrs)
+
+
+@record
+class KeyedForm:
+    """Unsorted projection of a model onto the retained subset, keyed for lookup.
+
+    ``services`` maps each service name to its attribute pairs (sorted by key),
+    ``volumes`` and ``networks`` hold the names, and ``edges`` counts each
+    (kind value, src, dst, target or "") tuple, so a repeated edge counts
+    twice. It holds what :class:`CanonicalForm` holds, before any sorting; a
+    node name listed twice, which ``ArchModel.validate`` refuses, counts once.
+    """
+
+    services: dict[str, tuple[tuple[str, str], ...]]
+    volumes: frozenset[str]
+    networks: frozenset[str]
+    edges: Counter[tuple[str, str, str, str]]
 
 
 _KIND_VALUE = {kind: kind.value for kind in EdgeKind}
 
 
+def keyed(model: ArchModel | CanonicalForm) -> KeyedForm:
+    """Project a model, or a canonical form, onto its keyed form in one linear pass."""
+    if isinstance(model, CanonicalForm):
+        return KeyedForm(
+            dict(model.services),
+            frozenset(model.volumes),
+            frozenset(model.networks),
+            Counter(model.edges),
+        )
+    return KeyedForm(
+        services={s.name: _service_attrs(s) for s in model.services},
+        volumes=frozenset(v.name for v in model.volumes),
+        networks=frozenset(n.name for n in model.networks),
+        edges=Counter((_KIND_VALUE[e.kind], e.src, e.dst, e.target or "") for e in model.edges),
+    )
+
+
 def canonicalize(model: ArchModel | CanonicalForm) -> CanonicalForm:
-    """Project a model onto its canonical form; idempotent on canonical forms."""
+    """Sort the keyed form of a model into its canonical form; idempotent on canonical forms."""
     if isinstance(model, CanonicalForm):
         return model
+    form = keyed(model)
     return CanonicalForm(
-        services=tuple(sorted((s.name, _service_attrs(s)) for s in model.services)),
-        volumes=tuple(sorted(v.name for v in model.volumes)),
-        networks=tuple(sorted(n.name for n in model.networks)),
-        edges=tuple(
-            sorted((_KIND_VALUE[e.kind], e.src, e.dst, e.target or "") for e in model.edges)
-        ),
+        services=tuple(sorted(form.services.items())),
+        volumes=tuple(sorted(form.volumes)),
+        networks=tuple(sorted(form.networks)),
+        edges=tuple(sorted(form.edges.elements())),
     )
 
 

@@ -5,9 +5,12 @@ captured streams, so the exit-code contract (0 consistent, 1 inconsistent,
 2 invalid, 3 I/O, 4 internal error) is pinned exactly where CI scripts would
 observe it. Two tests also run ``dad check`` as a subprocess, to see that it
 ends by its exit code and not by a signal or a traceback, and
-``TestColdProcess`` checks what a fresh ``dad`` process imports.
+``TestColdProcess`` checks what a fresh ``dad`` process imports, and that
+its output bytes do not depend on the hash seed.
 """
 
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,8 @@ import yaml
 from dad import cli
 from dad.compose import lower, parse_compose
 from dad.model import model_equal
+
+from specgen import perfbench_gen
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -383,6 +388,22 @@ class TestDiff:
         assert "left: 'mariadb:11.2'" in out
         assert "right: 'mariadb:10.6'" in out
 
+    def test_empty_value_against_an_absent_one_is_inconsistent(self, capsys, tmp_path):
+        blank, absent = tmp_path / "blank.yml", tmp_path / "absent.yml"
+        blank.write_text('services: {app: {image: ""}, db: {image: pg}}\n', encoding="utf-8")
+        absent.write_text("services: {app: {}, db: {image: pg}}\n", encoding="utf-8")
+        code, out, err = run(capsys, "diff", "-i", str(blank), "-i", str(absent))
+        assert code == EXIT_INCONSISTENT
+        assert "  AttributeMismatch services.app.image (left: '', right: '')\n" in out
+
+        script = 'with DaC("t", direction="TB"):\n  with Cluster("app service"):\n    app = Server("app"){}\n'
+        blank_dac, absent_dac = tmp_path / "blank.dac", tmp_path / "absent.dac"
+        blank_dac.write_text(script.format("  # image="), encoding="utf-8")
+        absent_dac.write_text(script.format(""), encoding="utf-8")
+        code, out, err = run(capsys, "diff", "-i", str(blank_dac), "-i", str(absent_dac), "--report", "machine")
+        assert code == EXIT_INCONSISTENT
+        assert out.splitlines()[2:] == ["AttributeMismatch\tservices.app.image\t\t"]
+
     def test_left_format_override(self, capsys, tmp_path):
         script_no_suffix = tmp_path / "diagram.txt"
         run(
@@ -595,6 +616,25 @@ class TestColdProcess:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "verdict: Consistent" in proc.stdout
+
+    def test_diff_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        pair = perfbench_gen().drift_pair(random.Random(5), 60, 0.5)
+        left, right = tmp_path / "old.dac", tmp_path / "new.dac"
+        left.write_text(pair.old, encoding="utf-8")
+        right.write_text(pair.new, encoding="utf-8")
+        runs = []
+        for seed in ("0", "1"):
+            for report in ("text", "machine"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dad.cli", "diff", "-i", str(left), "-i", str(right), "--report", report],
+                    capture_output=True,
+                    timeout=120,
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                )
+                assert proc.returncode == EXIT_INCONSISTENT, proc.stderr
+                runs.append(proc.stdout)
+        assert len(runs[1].splitlines()) > 10
+        assert runs[:2] == runs[2:]
 
 
 # A name holding a character str.splitlines breaks at: "\r" as a DaC string

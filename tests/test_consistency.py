@@ -6,8 +6,11 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dad import consistency
+from dad import model as model_module
 from dad.consistency import (
     _KIND_ORDER,
     ConsistencyReport,
@@ -23,7 +26,17 @@ from dad.consistency import (
 )
 from dad.compose import lower, parse_compose
 from dad.dac_emit import emit_dac
-from dad.model import ArchModel, Edge, EdgeKind, NetworkNode, ServiceNode, VolumeNode, canonicalize
+from dad.dac_ingest import lift, parse_dac
+from dad.model import (
+    ArchModel,
+    Edge,
+    EdgeKind,
+    NetworkNode,
+    ServiceNode,
+    VolumeNode,
+    canonicalize,
+    model_equal,
+)
 
 from specgen import doc_to_yaml, gen_descriptor_doc, gen_model, mutate_model
 
@@ -128,6 +141,33 @@ class TestDiffModels:
         assert diff_models(left, right) == [
             DiffEntry(DiffKind.ATTRIBUTE_MISMATCH, "services.mysql.image", left="mysql", right="")
         ]
+
+    def test_empty_attribute_differs_from_an_absent_one(self):
+        left = ArchModel(services=(ServiceNode("app", image=""), ServiceNode("db", image="pg")))
+        right = ArchModel(services=(ServiceNode("app"), ServiceNode("db", image="pg")))
+        assert not model_equal(left, right)
+        assert diff_models(left, right) == [
+            DiffEntry(DiffKind.ATTRIBUTE_MISMATCH, "services.app.image", left="", right="")
+        ]
+        assert diff_models(right, left) == diff_models(left, right)
+        blank_name = ArchModel(services=(ServiceNode("app", image="x", container_name=""),))
+        assert diff_models(ArchModel(services=(ServiceNode("app", image="x"),)), blank_name) == [
+            DiffEntry(DiffKind.ATTRIBUTE_MISMATCH, "services.app.container_name", left="", right="")
+        ]
+
+    def test_empty_image_in_descriptors_and_scripts_is_inconsistent(self):
+        blank = lower(parse_compose('services: {app: {image: ""}, db: {image: pg}}\n'))
+        absent = lower(parse_compose("services: {app: {}, db: {image: pg}}\n"))
+        report = compare_models(blank, absent)
+        assert report.verdict is Verdict.INCONSISTENT
+        assert [(e.kind, e.subject) for e in report.issues] == [
+            (DiffKind.ATTRIBUTE_MISMATCH, "services.app.image")
+        ]
+        script = 'with DaC("t", direction="TB"):\n  with Cluster("app service"):\n    app = Server("app"){}\n'
+        blank_script = lift(parse_dac(script.format("  # image=")))
+        absent_script = lift(parse_dac(script.format("")))
+        assert compare_models(blank_script, absent_script).verdict is Verdict.INCONSISTENT
+        assert compare_models(blank_script, lower(parse_compose('services: {app: {image: ""}}\n'))).issues == ()
 
     def test_edge_multiplicity_counts(self):
         base = dict(services=(ServiceNode("a", image="x"), ServiceNode("b", image="y")))
@@ -473,6 +513,46 @@ class TestDiffModelsEquivalence:
         assert diff_models(left, right) == expected == reference_diff_models(left, right)
 
 
+def with_repeats_and_blanks(rng: random.Random, model: ArchModel) -> ArchModel:
+    """The model with some edges repeated and some attributes set to "", still valid."""
+    edges = list(model.edges)
+    if edges:
+        edges.extend(rng.choice(model.edges) for _ in range(rng.choice([0, 0, 1, 3])))
+        rng.shuffle(edges)
+    services = list(model.services)
+    for index in rng.sample(range(len(services)), min(len(services), rng.choice([0, 0, 1, 2]))):
+        svc = services[index]
+        services[index] = ServiceNode(
+            svc.name,
+            image="" if svc.build is None else None,
+            build=svc.build,
+            container_name=rng.choice(["", None, svc.container_name]),
+        )
+    return ArchModel(
+        services=tuple(services), volumes=model.volumes, networks=model.networks, edges=tuple(edges)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), mutations=st.integers(0, 3), unrelated=st.booleans())
+def test_diff_models_property(seed, mutations, unrelated):
+    rng = random.Random(seed)
+    left = with_repeats_and_blanks(rng, gen_model(rng))
+    right = gen_model(rng) if unrelated else left
+    for _ in range(mutations):
+        if right.services:
+            right, _ = mutate_model(rng, right)
+    right = with_repeats_and_blanks(rng, right)
+    assert left.validate() is None and right.validate() is None
+
+    entries = diff_models(left, right)
+    assert entries == reference_diff_models(left, right)
+    assert (entries == []) == model_equal(left, right)
+    assert diff_models(canonicalize(left), right) == entries
+    assert diff_models(left, canonicalize(right)) == entries
+    assert diff_models(canonicalize(left), canonicalize(right)) == entries
+
+
 def drifted_pair(n: int) -> tuple[ArchModel, ArchModel]:
     """n services with two mounts each; the right side moves every other target."""
     services = tuple(ServiceNode(f"s{i}", image="x") for i in range(n))
@@ -489,6 +569,13 @@ def drifted_pair(n: int) -> tuple[ArchModel, ArchModel]:
     return left, right
 
 
+def identical_pair(n: int) -> tuple[ArchModel, ArchModel]:
+    """drifted_pair's left side, and an equal model listing everything in reverse."""
+    left, _ = drifted_pair(n)
+    right = ArchModel(services=left.services[::-1], volumes=left.volumes[::-1], edges=left.edges[::-1])
+    return left, right
+
+
 def test_diff_models_is_linear_in_leftover_edges():
     def best_of_3(pair) -> float:
         times = []
@@ -498,12 +585,17 @@ def test_diff_models_is_linear_in_leftover_edges():
             times.append(time.perf_counter() - start)
         return min(times)
 
-    small, large = best_of_3(drifted_pair(200)), best_of_3(drifted_pair(4000))
-    # 20x the services: linear cost is ~20x, the per-key rescan ~400x
-    assert large < 100 * small, f"200 services {small * 1e3:.1f} ms, 4000 services {large * 1e3:.1f} ms"
+    # with every other mount target moved, and with no leftover edges at all
+    for make_pair in (drifted_pair, identical_pair):
+        small, large = best_of_3(make_pair(200)), best_of_3(make_pair(4000))
+        # 20x the services: linear cost is ~20x, the per-key rescan ~400x
+        assert large < 100 * small, (
+            f"{make_pair.__name__}: 200 services {small * 1e3:.1f} ms, "
+            f"4000 services {large * 1e3:.1f} ms"
+        )
 
 
-def test_compare_models_canonicalizes_each_side_once(monkeypatch):
+def test_compare_models_canonicalizes_neither_side(monkeypatch):
     calls = []
 
     def counting(model):
@@ -511,9 +603,10 @@ def test_compare_models_canonicalizes_each_side_once(monkeypatch):
         return canonicalize(model)
 
     monkeypatch.setattr(consistency, "canonicalize", counting)
+    monkeypatch.setattr(model_module, "canonicalize", counting)
     left, right = drifted_pair(10)
     report = compare_models(left, right)
-    assert calls == [left, right]
+    assert calls == []
     assert report.stats.left_edges == report.stats.right_edges == 20
     assert report.issues == tuple(reference_diff_models(left, right))
 
