@@ -479,11 +479,13 @@ def unlower(model: ArchModel) -> ComposeSpec:
     and so does a phantom service with no edges of its own: none was declared
     in any descriptor, and a lenient reparse synthesizes them again. A mount
     edge needs its target path back; refusing to invent one (EmitError) keeps
-    the round trip honest.
+    the round trip honest. A mount edge repeated is refused too, since
+    ``_parse_mounts`` refuses the descriptor that would hold it.
     """
     entries = {
         svc.name: ServiceEntry(svc.image, svc.build, svc.container_name) for svc in model.services
     }
+    mounts: set[tuple[str, str, str]] = set()
     for edge in model.edges:
         entry = entries[edge.src]
         kind = edge.kind
@@ -497,6 +499,13 @@ def unlower(model: ArchModel) -> ComposeSpec:
                     f"mount {edge.src} - {edge.dst} has no target path; "
                     "cannot place it in a descriptor"
                 )
+            mount = (edge.src, edge.dst, edge.target)
+            if mount in mounts:
+                raise EmitError(
+                    f"{edge.src} mounts {edge.dst}:{edge.target} twice; "
+                    "a descriptor cannot hold it"
+                )
+            mounts.add(mount)
             entry.volumes.append(MountRef(edge.dst, edge.target))
         else:
             entry.networks.append(edge.dst)

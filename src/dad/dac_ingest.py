@@ -283,7 +283,9 @@ def lift(ast: DacAst) -> ArchModel:
     the endpoint kinds: service-service is Link, service-volume is Mount
     (normalized service first), service-network is Attachment. Identifiers
     that were never declared become phantom services named by their
-    identifier. The result is validated, so cyclic dependencies raise here.
+    identifier. A volume mounted twice at one target by one service raises,
+    at the line of the second mount. The result is validated, so cyclic
+    dependencies raise here.
     """
     services: list[ServiceNode] = []
     volumes: list[VolumeNode] = []
@@ -302,6 +304,9 @@ def lift(ast: DacAst) -> ArchModel:
                 networks.append(lifted)
 
     edges: list[Edge] = []
+    # a mount is one volume at one target; compose._parse_mounts refuses a
+    # repeat, so a descriptor could not hold the model
+    mounts: set[tuple[str, str, str]] = set()
     for edge in ast.edges:
         annots = edge.annotations
         if not annots:
@@ -335,6 +340,11 @@ def lift(ast: DacAst) -> ArchModel:
         if src_kind != "Server":
             raise LiftError(f"line {edge.line}: - requires at least one service endpoint")
         if dst_kind == "Storage":
+            if target is not None:
+                mount = (src_name, dst_name, target)
+                if mount in mounts:
+                    raise LiftError(f"line {edge.line}: mounts {dst_name}:{target} twice")
+                mounts.add(mount)
             edges.append(Edge(EdgeKind.MOUNT, src_name, dst_name, target))
             continue
         if target is not None:

@@ -1,12 +1,18 @@
 """The YAML layer of ``dad.compose``: descriptor text in, documents out.
 
-``load`` builds a document straight from the parser's events, so it runs
-none of PyYAML's composer or constructor; it uses libyaml's parser when
-PyYAML was built with it and PyYAML's pure-Python parser otherwise. ``dump``
-writes a document of dicts, lists, strings, ints, bools and None as text in
-one pass, and hands any other document to ``yaml.dump`` with dad's dumper;
-the bytes are the same either way. ``dad.compose`` imports this module on its
-first load or dump, so a command that reads no YAML never imports PyYAML.
+``load`` first tries ``_read``, which reads a plain block-style document
+(one-line scalars, no anchors, tags or flow collections but ``{}`` and ``[]``)
+line by line in one pass, with no parser events. It declines every other
+document and every malformed one, and those go to the event path: a document
+built straight from the parser's events, with none of PyYAML's composer or
+constructor, by libyaml's parser when PyYAML was built with it and by
+PyYAML's pure-Python parser otherwise. Both paths give equal values, and
+every syntax error, with its line and column, comes from the event path.
+``dump`` writes a document of dicts, lists, strings, ints, floats, bools and
+None as text in one pass, and hands any other document to ``yaml.dump`` with
+dad's dumper; the bytes are the same either way. ``dad.compose`` imports this
+module on its first load or dump, so a command that reads no YAML never
+imports PyYAML.
 """
 
 from __future__ import annotations
@@ -45,6 +51,20 @@ else:
     _DumperBase = yaml.SafeDumper
 
 
+_PLAIN = (True, False)  # resolve() reads the text as a plain scalar
+_resolve = Resolver().resolve
+# The first characters that have implicit resolvers. Resolver has no wildcard
+# resolver, so a text that starts with any other character reads as a string.
+_RESOLVED_FIRSTS = frozenset(Resolver.yaml_implicit_resolvers)
+
+# The printable part of the basic plane but for its line breaks and the byte
+# order mark: non-ASCII text both emitters write as it is with allow_unicode
+# (libyaml escapes the planes above it), and the text ``_read`` reads.
+_PRINTABLE = "\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd"
+_WIDE = re.compile(f"[{_PRINTABLE}]*")
+_LINES = re.compile(f"[\n{_PRINTABLE}]*")
+
+
 class _UniqueKeyLoader(_LoaderBase):
     """Event source of ``load``; ``_build`` makes the objects itself.
 
@@ -61,6 +81,7 @@ _MAX_DEPTH = 100
 _STR_TAG = "tag:yaml.org,2002:str"
 _NULL_TAG = "tag:yaml.org,2002:null"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
+_FLOAT_TAG = "tag:yaml.org,2002:float"
 _MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
 _SEQ_TAGS = (None, "!", "tag:yaml.org,2002:seq")
 _SET_TAG = "tag:yaml.org,2002:set"
@@ -307,8 +328,274 @@ def _build(loader: _UniqueKeyLoader):
     return value
 
 
+# Characters a plain scalar may not start with; "-", "?" and ":" may start
+# one when a non-space follows.
+_INDICATORS = frozenset("#,[]{}&*!|>'\"%@`")
+# Both parsers refuse a key whose ":" comes more than 1024 characters after
+# its start, quotes included; ``_read`` leaves keys that long to them.
+_SIMPLE_KEY = 1024
+# Values PyYAML's representer never writes as an anchor and alias, so one
+# object may stand for every occurrence of a scalar text.
+_UNANCHORED = frozenset((str, int, float, bool, type(None)))
+_NOTHING = object()  # no value: a text _read leaves to the event path, or no key waiting
+_CONSTRUCTOR = SafeConstructor()
+
+
+def _scalar_value(token: str):
+    """The value of ``token``, a one-line scalar in block context.
+
+    Plain text gets its tag from the resolver and its value from the
+    constructor of that tag, as on the event path. ``_NOTHING`` when the text
+    is not a complete plain, single-quoted or backslash-free double-quoted
+    scalar, or when its tag has no constructor (``<<``, ``=``) or the
+    constructor fails: the event path reports those.
+    """
+    first = token[0]
+    if first == "'":
+        if len(token) < 2 or token[-1] != "'":
+            return _NOTHING
+        text = token[1:-1]
+        if "'" in text:
+            if "'" in text.replace("''", ""):  # a quote that ends the scalar early
+                return _NOTHING
+            text = text.replace("''", "'")
+        return text
+    if first == '"':
+        text = token[1:-1]
+        if len(token) < 2 or token[-1] != '"' or '"' in text or "\\" in text:
+            return _NOTHING
+        return text
+    if (
+        first in _INDICATORS
+        or (first in "-?:" and token[1:2] in ("", " "))
+        or token[-1] in ": "  # a key "a :" or "a: b:"
+        or ": " in token
+        or " #" in token
+    ):
+        return _NOTHING
+    if first not in _RESOLVED_FIRSTS:
+        return token
+    tag = _resolve(ScalarNode, token, _PLAIN)
+    if tag == _STR_TAG:
+        return token
+    construct = SafeConstructor.yaml_constructors.get(tag)
+    if construct is None:
+        return _NOTHING
+    try:
+        return construct(_CONSTRUCTOR, ScalarNode(tag, token))
+    except Exception:  # e.g. the date 2001-02-30; the event path reports it
+        return _NOTHING
+
+
+def _split(content: str) -> tuple:
+    """``content`` cut into the texts of its key and value, or (None, None) if it is no ``key:`` line."""
+    first = content[0]
+    if first == "'" or first == '"':
+        end = content.find(first, 1)
+        if first == "'":
+            while end > 0 and content[end + 1 : end + 2] == "'":  # '' stands for '
+                end = content.find("'", end + 2)
+        if end < 0:
+            return None, None
+        tail = content[end + 1 :]
+        if tail == ":":
+            return content[: end + 1], ""
+        if tail.startswith(": "):
+            return content[: end + 1], tail[2:].lstrip(" ")
+        return None, None
+    colon = content.find(": ")
+    if colon >= 0:
+        return content[:colon], content[colon + 2 :].lstrip(" ")
+    if content[-1] == ":":
+        return content[:-1], ""
+    return None, None
+
+
+def _shape(column: int, content: str):
+    """The parse of a line's ``content`` at ``column``, or False to leave the text to the event path.
+
+    ``(column, _ITEM, shape of the rest or None)`` for a list entry,
+    ``(column, key text, value text)`` for a ``key:`` line (the value text is
+    empty when the value starts on a later line) and ``(column, None, text)``
+    for a scalar. It does not recurse, so a long ``- - - ...`` chain needs
+    no stack.
+    """
+    dashes: list[int] = []  # the column of each leading "- "
+    while content[0] == "-" and content[1:2] in ("", " "):
+        if len(dashes) == _MAX_DEPTH:
+            return False
+        dashes.append(column)
+        rest = content[1:].lstrip(" ")
+        if not rest:
+            shape = None
+            break
+        column += len(content) - len(rest)
+        content = rest
+    else:
+        key, token = _split(content)
+        if key is None:
+            shape = (column, None, content)
+        elif not key or len(key) >= _SIMPLE_KEY:  # ": v" or a key too long
+            return False
+        else:
+            shape = (column, key, token)
+    for column in reversed(dashes):
+        shape = (column, _ITEM, shape)
+    return shape
+
+
+def _line_shape(line: str):
+    """``_shape`` of a line; () for a blank or comment line."""
+    content = line.lstrip(" ")
+    if not content or content[0] == "#":
+        return ()
+    column = len(line) - len(content)
+    if column == 0 and content.startswith(("---", "...")):
+        return False
+    return _shape(column, content.rstrip(" "))
+
+
+def _put(collection, key, value) -> None:
+    if collection.__class__ is dict:
+        collection[key] = value
+    else:
+        collection.append(value)
+
+
+def _read(text: str):
+    """``text`` read as block-style YAML line by line, or None to leave it to the event path.
+
+    It reads block mappings and sequences (indentless ``key:`` + ``- item``,
+    ``- k: v`` and ``- - a`` included) of one-line scalars: plain,
+    single-quoted and double-quoted without a backslash, ``{}`` and ``[]``,
+    with blank and comment lines between them. The values are those ``_build``
+    gives. Anything else gives None: anchors, aliases, tags, other flow
+    collections, block scalars, a scalar that goes on to a deeper line,
+    ``? `` and ``<<`` keys, a key repeated or ``_SIMPLE_KEY`` characters long,
+    a trailing comment, tabs, other line breaks, a byte order mark, document
+    markers and directives, an indent no open collection has, nesting deeper
+    than ``_MAX_DEPTH`` and the empty document. So it raises nothing: every
+    error comes from the event path.
+    """
+    if _LINES.fullmatch(text) is None:
+        return None
+    shapes: dict = {}  # a line -> its _line_shape; descriptors repeat most lines
+    values: dict = {}  # text of a scalar -> its value, when _UNANCHORED
+    stack: list = []  # the open collections, outermost first
+    columns: list[int] = []  # the column of each
+    pending = _NOTHING  # the key of stack[-1] (_ITEM in a list) whose value starts on a later line
+
+    def scalar(token: str):
+        value = _scalar_value(token)
+        if value.__class__ in _UNANCHORED:
+            values[token] = value
+        return value
+
+    def value_of(token: str):
+        if token == "{}" or token == "[]":
+            if len(stack) == _MAX_DEPTH:
+                return _NOTHING
+            return {} if token == "{}" else []
+        return scalar(token)
+
+    for line in text.split("\n"):
+        shape = shapes.get(line)
+        if shape is None:
+            shape = shapes[line] = _line_shape(line)
+        if not shape:
+            if shape is False:
+                return None
+            continue
+        column, kind, rest = shape
+        entry = kind is _ITEM
+        # find the collection the line goes on, closing the deeper ones
+        if not stack:  # the first line opens the top collection
+            stack.append([] if entry else {})
+            columns.append(column)
+        while True:
+            top, top_column = stack[-1], columns[-1]
+            if pending is not _NOTHING:
+                if column > top_column or (column == top_column and entry and top.__class__ is dict):
+                    if len(stack) == _MAX_DEPTH:
+                        return None
+                    child = [] if entry else {}
+                    _put(top, pending, child)
+                    pending = _NOTHING
+                    stack.append(child)
+                    columns.append(column)
+                    break
+                _put(top, pending, None)
+                pending = _NOTHING
+            if column == top_column and (top.__class__ is list) is entry:
+                break
+            # a line left of the collection closes it, and so does a key at the
+            # column of an indentless sequence (key:\n- item)
+            if column > top_column:
+                return None
+            stack.pop()
+            columns.pop()
+            if not stack:
+                return None
+
+        top = stack[-1]
+        # an entry of a list: "-" alone, a scalar, or "- - ..." and "- k: ..."
+        # opening a collection at the column after the dash
+        while kind is _ITEM:
+            if rest is None:
+                pending = _ITEM
+                break
+            column, kind, rest = rest
+            if kind is _ITEM:
+                child = []
+            elif kind is None:
+                value = values.get(rest, _NOTHING)
+                if value is _NOTHING:
+                    value = value_of(rest)
+                    if value is _NOTHING:
+                        return None
+                top.append(value)
+                break
+            else:
+                child = {}
+            if len(stack) == _MAX_DEPTH:
+                return None
+            top.append(child)
+            stack.append(child)
+            columns.append(column)
+            top = child
+        else:  # a "key:" or "key: value" line of a mapping
+            if kind is None:
+                return None
+            key = values.get(kind, _NOTHING)
+            if key is _NOTHING:
+                key = scalar(kind)
+            if key is _NOTHING or key in top:
+                return None
+            if not rest:
+                pending = key
+                continue
+            value = values.get(rest, _NOTHING)
+            if value is _NOTHING:
+                value = value_of(rest)
+                if value is _NOTHING:
+                    return None
+            top[key] = value
+
+    if not stack:
+        return None
+    if pending is not _NOTHING:
+        _put(stack[-1], pending, None)
+    return stack[0]
+
+
 def load(text: str):
     """The single YAML document in ``text`` (None when there is none)."""
+    doc = _read(text)
+    return _load_events(text) if doc is None else doc
+
+
+def _load_events(text: str):
+    """``load`` on the event path: the documents ``_read`` declines, and every syntax error."""
     loader = None
     try:
         loader = _UniqueKeyLoader(text)  # the pure-Python reader refuses non-printable text here
@@ -358,17 +645,8 @@ _ComposeDumper.add_representer(set, _represent_set)
 _ComposeDumper.add_representer(list, _represent_list)
 
 
-_PLAIN = (True, False)  # resolve() reads the text as a plain scalar
-_resolve = Resolver().resolve
-# The first characters that have implicit resolvers. Resolver has no wildcard
-# resolver, so a text that starts with any other character reads as a string.
-_RESOLVED_FIRSTS = frozenset(Resolver.yaml_implicit_resolvers)
-
-# Non-ASCII text both emitters write as it is with allow_unicode: the
-# printable part of the basic plane but for its line breaks (libyaml escapes
-# the planes above it).
-_WIDE = re.compile("[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd]*")
 _WIDTH = 4096  # the line width dump asks of the emitter
+_INF = float("inf")
 # ``_text`` leaves deeper documents to yaml.dump, so a value starts before
 # column _MAX_INDENT + 248 (a key's text is at most 246 characters). A value
 # with a space that fits in _MAX_SPACED characters then ends before _WIDTH,
@@ -411,10 +689,24 @@ def _scalar(text: str) -> str | None:
     return text
 
 
+def _float(value: float) -> str | None:
+    """``value`` as ``SafeRepresenter.represent_float`` writes it, or None if that would not read back as a float."""
+    if value != value:
+        return ".nan"
+    if value == _INF:
+        return ".inf"
+    if value == -_INF:
+        return "-.inf"
+    text = repr(value).lower()
+    if "." not in text and "e" in text:  # 1e+17: a !!float needs the dot
+        text = text.replace("e", ".0e", 1)
+    return text if _resolve(ScalarNode, text, _PLAIN) == _FLOAT_TAG else None
+
+
 def _text(doc) -> str | None:
     """``doc`` written as block-style YAML in one pass, or None if it holds something else.
 
-    The writer takes dicts with str keys, lists, str, int, bool and None.
+    The writer takes dicts with str keys, lists, str, int, float, bool and None.
     Empty collections are written as ``{}`` and ``[]``, and a list in a list
     in compact form (``- - a``). A dict or list reached again is an alias of
     its first occurrence, which left an empty slot in ``out`` for its anchor;
@@ -471,6 +763,11 @@ def _text(doc) -> str | None:
                 write(head + (" true\n" if value else " false\n"))
             elif cls is int:
                 write(f"{head} {value}\n")
+            elif cls is float:
+                written = _float(value)
+                if written is None:
+                    return None
+                write(f"{head} {written}\n")
             else:
                 return None
         else:  # the collection is written

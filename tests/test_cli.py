@@ -178,6 +178,23 @@ class TestInvert:
         assert code == EXIT_INVALID
         assert "target" in err
 
+    def test_repeated_mount_rejected(self, capsys, tmp_path):
+        # the descriptor it would write, volumes: [data:/a, data:/a], fails dad check
+        script = tmp_path / "repeat.dac"
+        script.write_text(
+            'with DaC("t", direction="TB"):\n'
+            '  with Cluster("app service"):\n'
+            '    app = Server("app")  # image=x\n'
+            '  with Cluster("data volume"):\n'
+            '    data = Storage("data")\n'
+            "  app - data  # target=/a\n"
+            "  data - app  # target=/a\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "invert", "-i", str(script))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "line 7: mounts data:/a twice" in err
+
     def test_strict_undeclared_ident(self, capsys, tmp_path):
         script = tmp_path / "dangling.dac"
         script.write_text(

@@ -227,6 +227,19 @@ class TestLift:
         model = lift(parse_dac(text))
         assert model.edges == (Edge(EdgeKind.MOUNT, "app", "data", target="/data"),)
 
+    def test_repeated_mount_is_refused_at_its_line(self):
+        text = build_script(
+            '  with Cluster("app service"):',
+            '    app = Server("app")',
+            '  with Cluster("data volume"):',
+            '    data = Storage("data")',
+            "  app - data  # target=/a",
+            "  app - data  # target=/b",
+            "  data - app  # target=/a",
+        )
+        with pytest.raises(LiftError, match=r"^line 8: mounts data:/a twice$"):
+            lift(parse_dac(text))
+
     def test_mount_without_target_is_tolerated_at_lift(self):
         text = build_script(
             '  with Cluster("app service"):',

@@ -261,6 +261,7 @@ def reference_lift(ast: DacAst) -> ArchModel:
         return by_ident[ident]
 
     edges: list[Edge] = []
+    mounts: set[Edge] = set()
     for edge in ast.edges:
         target = None
         if edge.annotations:
@@ -291,7 +292,11 @@ def reference_lift(ast: DacAst) -> ArchModel:
                 raise LiftError(f"line {edge.line}: target annotation is only for mounts")
             edges.append(Edge(EdgeKind.LINK, src_name, dst_name))
         elif dst_kind == "Storage":
-            edges.append(Edge(EdgeKind.MOUNT, src_name, dst_name, target=target))
+            mount = Edge(EdgeKind.MOUNT, src_name, dst_name, target=target)
+            if target is not None and mount in mounts:
+                raise LiftError(f"line {edge.line}: mounts {dst_name}:{target} twice")
+            mounts.add(mount)
+            edges.append(mount)
         else:
             if target is not None:
                 raise LiftError(f"line {edge.line}: target annotation is only for mounts")

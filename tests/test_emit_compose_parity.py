@@ -52,6 +52,10 @@ def reference_emit_compose(model: ArchModel) -> str:
             raise EmitError(
                 f"mount {edge.src} - {edge.dst} has no target path; cannot place it in a descriptor"
             )
+        if edge.kind is EdgeKind.MOUNT and edge in by_service.get(edge.src, {}).get(edge.kind, ()):
+            raise EmitError(
+                f"{edge.src} mounts {edge.dst}:{edge.target} twice; a descriptor cannot hold it"
+            )
         by_service.setdefault(edge.src, {}).setdefault(edge.kind, []).append(edge)
 
     services: dict[str, dict | None] = {}
@@ -104,7 +108,8 @@ def _edge_cases() -> list[ArchModel]:
             volumes=(data,),
             edges=(Edge(EdgeKind.MOUNT, "app", "data", "/a:b"), Edge(EdgeKind.MOUNT, "app", "data", "/c")),
         ),
-        # a mount edge repeated verbatim is written twice
+        # a mount edge repeated verbatim is refused: the descriptor holding it
+        # twice would fail compose._parse_mounts
         ArchModel(
             services=(app,),
             volumes=(data,),
@@ -206,6 +211,7 @@ def test_emit_compose_matches_the_reference_on_both_backends():
         assert got_pure == want_pure, model
     refused = [got for got, _ in native if isinstance(got, tuple)]
     # every refusal kind is reached: a cycle, a dangling edge, image plus
-    # build, a mount without a target, and the corpus's cyclic stack
-    assert len(refused) == 5
+    # build, a mount without a target, a repeated mount, and the corpus's
+    # cyclic stack
+    assert len(refused) == 6
     assert all(kind is EmitError for kind, _ in refused)

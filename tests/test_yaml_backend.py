@@ -82,6 +82,7 @@ MALFORMED = {
     "unhashable key": ("services:\n  ? [a]\n  : 1\n", 2, 5),
     "undefined alias": ("services:\n  web: *nope\n", 2, 8),
     "deep nesting": ("a: " + "[" * 5000 + "]" * 5000 + "\n", None, None),
+    "deep block nesting": ("a:\n" + "- " * 5000 + "x\n", None, None),
 }
 
 
@@ -664,6 +665,22 @@ def test_text_writer_quotes_like_the_emitters(yaml_backend):
     assert lines[11:14] == ["- '-'", "- '...x'", "- '---'"] and lines[-3] == "- '''a'"
 
 
+# Floats the text writer writes as SafeRepresenter.represent_float does,
+# among them the unquoted ``version: 3.8`` of many compose files.
+WRITTEN_FLOATS = {
+    "float": {"a": [1.5]},
+    "version": {"version": 3.8},
+    "special and exponent forms": DUMP_CASES["floats"],
+    "extremes": {"a": [5e-324, -0.0, 1.7976931348623157e308, 123456789012345678.0, 1e16]},
+}
+
+
+@pytest.mark.parametrize("doc", WRITTEN_FLOATS.values(), ids=WRITTEN_FLOATS.keys())
+def test_text_writer_writes_floats_like_the_representer(yaml_backend, doc):
+    text = yaml_io._text(doc)
+    assert text is not None and text == reference_dump(doc)
+
+
 # Documents the text writer leaves to yaml.dump, each for one reason.
 FALLBACKS = {
     "empty key": {"": 1},
@@ -675,7 +692,6 @@ FALLBACKS = {
     "beyond the basic plane": {"a": "\U0001f600"},
     "tab": {"a": "\tx"},
     "folded near the width": {"a": "x " * 1500},
-    "float": {"a": [1.5]},
     "tuple": {"a": ("b",)},
     "int key": {1: "a"},
     "str subclass": {"a": type("Name", (str,), {})("b")},
@@ -704,7 +720,7 @@ EDGE_TEXTS = ["...x", "---", "-", "-x", "?", "?x", ":x", "x:", "a: b", "a #b", "
 
 edge_strings = st.one_of(st.text(st.sampled_from(ADVERSARIAL), max_size=8), st.sampled_from(EDGE_TEXTS))
 edge_keys = st.one_of(st.text(st.sampled_from(ADVERSARIAL), min_size=1, max_size=8), st.sampled_from(EDGE_TEXTS))
-edge_scalars = st.one_of(st.none(), st.booleans(), st.integers(), edge_strings)
+edge_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), edge_strings)
 
 
 def edge_trees(depth: int):
@@ -773,3 +789,114 @@ def test_benchmark_documents_take_the_text_path():
     assert len(docs) == 2
     for doc in (*dumped_documents(), *docs):
         assert yaml_io._text(doc) is not None
+
+
+def test_benchmark_and_corpus_texts_take_the_one_pass_reader():
+    # the texts scale_check and corpus_cli load; a silent decline would send
+    # them back to the event path
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.yml"))]
+    for seed in (1, 2, 3):
+        seeded = random.Random(seed)
+        for n in (10, 30, 100, 300):
+            text = gen.scale_descriptor(seeded, n).text
+            texts += [text, compose.serialize_compose(compose.parse_compose(text))]
+    rng = random.Random(13)
+    for _ in range(200):
+        texts.append(compose.serialize_compose(compose.parse_compose(doc_to_yaml(gen_descriptor_doc(rng)))))
+    for text in texts:
+        read = yaml_io._read(text)
+        assert read is not None, text
+        assert_same(read, reference_load(text))
+
+
+# Line edits at the edges of what the one-pass reader reads. Any other edit
+# inserts its text into the line. "long key" and "deep" add a top-level key:
+# one of either side of the simple-key limit, and one whose value nests lists
+# or mappings to either side of _MAX_DEPTH.
+LINE_EDITS = ("indent +1", "indent -1", "trailing comment", "join", "split", "double quotes", "escape",
+              "stray quote", "repeat", "long key", "deep", "---", "--- ", "\t", "\r", "\u2028", "\ufeff",
+              "'", '"', ": ", "- ")
+
+
+def edit_line(text: str, kind: str, index: int, at: int) -> str:
+    lines = text.split("\n")
+    i = index % len(lines)
+    line = lines[i]
+    indent = line[: len(line) - len(line.lstrip(" "))]
+    cut = at % (len(line) + 1)
+    if kind == "indent +1":
+        lines[i] = " " + line
+    elif kind == "indent -1":
+        lines[i] = line[1:] if indent else line
+    elif kind == "trailing comment":
+        lines[i] = line + " #x"
+    elif kind == "join":
+        if i + 1 < len(lines):
+            lines[i : i + 2] = [line + " " + lines[i + 1].lstrip(" ")]
+    elif kind == "split":
+        lines[i : i + 1] = [line[:cut], indent + "  " + line[cut:]]
+    elif kind == "double quotes":
+        lines[i] = line.replace("'", '"')
+    elif kind == "escape":  # double quotes around an escape sequence
+        lines[i] = line.replace("'", '"').replace('"', '"\\t', 1)
+    elif kind == "stray quote":  # a quote just inside the first one
+        quote = line.find("'") + 1
+        lines[i] = line[: quote + cut % 2] + "'" + line[quote + cut % 2 :]
+    elif kind == "repeat":  # a key line repeats its key
+        lines.insert(i, line)
+    elif kind == "long key":
+        lines.insert(0, "k" * (yaml_io._SIMPLE_KEY - 1 + at % 3) + ": x")
+    elif kind == "deep":
+        depth = yaml_io._MAX_DEPTH - 2 + at % 3
+        if at % 2:
+            lines.insert(0, "deep:\n" + "- " * depth + "x")
+        else:
+            lines.insert(0, "deep:\n" + "\n".join(" " * level + "a:" for level in range(1, depth + 1)) + " x")
+    elif kind == "---":
+        lines.insert(i, "---")
+    elif kind == "--- ":
+        lines[i] = "--- " + line
+    else:
+        lines[i] = line[:cut] + kind + line[cut:]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_one_pass_reader_reads_like_the_event_path(backend):
+    read_plain = []
+
+    def check_text(text: str) -> bool:
+        read = yaml_io._read(text)
+        try:
+            expected = reference_load(text)
+            yaml_io._load_events(text)  # unlike the reference, it refuses nesting past _MAX_DEPTH
+        except ComposeSyntaxError:
+            assert read is None, text
+            return False
+        if read is not None:
+            assert_same(read, expected)
+        return read is not None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        doc=edge_documents(),
+        third=st.integers(0, 2),
+        places=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), min_size=len(LINE_EDITS), max_size=len(LINE_EDITS)),
+        edits=st.lists(st.tuples(st.sampled_from(LINE_EDITS), st.integers(0, 999), st.integers(0, 999)), max_size=3),
+    )
+    def check(doc, third, places, edits):
+        text = reference_dump(doc)
+        read_plain.append(check_text(text))
+        for kind, (index, at) in list(zip(LINE_EDITS, places))[third::3]:  # a third of the edits alone
+            check_text(edit_line(text, kind, index, at))
+        for kind, index, at in edits:  # and a few together
+            text = edit_line(text, kind, index, at)
+        check_text(text)
+
+    if backend == "python":
+        with python_backend():
+            check()
+    else:
+        check()
+    # the property is about the reader: most dumped documents must not reach the event path
+    assert sum(read_plain) > 0.6 * len(read_plain), f"{sum(read_plain)} of {len(read_plain)} read in one pass"
