@@ -29,8 +29,8 @@ from .consistency import (
     round_trip_check,
 )
 from .dac_emit import DEFAULT_ROLE_TABLE, EmitOptions, emit_dac, emit_dot
-from .dac_ingest import emit_compose, lift, parse_dac
-from .errors import DadError
+from .dac_ingest import emit_compose, lift, parse_dac  # noqa: F401  (callers read emit_compose here)
+from .errors import DadError, LoweringError
 
 _EXIT_BY_VERDICT = {Verdict.CONSISTENT: 0, Verdict.INCONSISTENT: 1, Verdict.INVALID: 2}
 _DAC_SUFFIXES = {".dac"}
@@ -155,20 +155,19 @@ def _single_input(args, parser_hint: str) -> Path:
 
 
 def _descriptor_model(text: str, path: Path, strict: bool):
-    """Parse + validate + lower one descriptor; returns (model, spec)."""
-    spec = compose.parse_compose(text)
-    issues = compose.validate(spec, strict=strict)
+    """One descriptor through ``compose.load_model``, issues to stderr; returns (model, spec)."""
+    try:
+        model, spec, issues = compose.load_model(text, strict, fallback_title=path.stem)
+    except LoweringError as exc:
+        _print_issues(exc.issues)
+        raise
     _print_issues(issues)
-    if not compose.issues_ok(issues):
-        raise DadError("validation failed")
-    model = compose.lower(spec, strict=strict, fallback_title=path.stem)
     return model, spec
 
 
 def cmd_generate(args) -> int:
     path = _single_input(args, "generate")
     model, _ = _descriptor_model(_read_text(path), path, args.strict)
-    model.validate()
     opts = EmitOptions(group_by_role=args.group_by_role, role_table=_load_role_table())
     if args.format == "dot":
         _write_output(args.output, emit_dot(model, opts))
@@ -180,7 +179,8 @@ def cmd_generate(args) -> int:
 def cmd_invert(args) -> int:
     path = _single_input(args, "invert")
     ast = parse_dac(_read_text(path), strict=args.strict)
-    _write_output(args.output, emit_compose(lift(ast)))
+    # lift has checked the model: emit_compose would only check it again
+    _write_output(args.output, compose.serialize_compose(compose.unlower(lift(ast))))
     return 0
 
 

@@ -7,7 +7,8 @@ opaque ``residue`` holding every other key verbatim under its full path.
 Residue is preserved for reporting and re-serialization but never reaches a
 diagram, so two descriptors differing only in residue lower to equal models.
 ``unlower`` goes the other way, from a model to a spec with no residue, so
-``serialize_compose`` is the one writer of descriptor text.
+``serialize_compose`` is the one writer of descriptor text. ``load_model`` is
+the one gate from descriptor text to a checked model.
 
 All functions are pure; distinct files can be parsed concurrently.
 """
@@ -393,25 +394,33 @@ def validate(spec: ComposeSpec, strict: bool = False) -> list[ValidationIssue]:
     return issues
 
 
-def lower(spec: ComposeSpec, strict: bool = False, fallback_title: str = "system") -> ArchModel:
-    """Map the retained fields onto the architecture graph.
+def load_model(
+    text: str, strict: bool = False, fallback_title: str = "system"
+) -> tuple[ArchModel, ComposeSpec, list[ValidationIssue]]:
+    """The one gate from descriptor text to a checked model: (model, spec, issues).
+
+    Parse, ``validate``, ``lower``, then ``ArchModel.validate``. Raises
+    LoweringError when any issue is an error; parse errors and ModelError
+    (CycleError for a dependency cycle) pass through.
+    """
+    spec = parse_compose(text)
+    issues = validate(spec, strict)
+    if not issues_ok(issues):
+        raise LoweringError(issues)
+    model = lower(spec, fallback_title=fallback_title)
+    model.validate()
+    return model, spec, issues
+
+
+def lower(spec: ComposeSpec, fallback_title: str = "system") -> ArchModel:
+    """Map the retained fields onto the architecture graph; the mirror of ``unlower``.
 
     One node per service/volume/network in source order, one edge per
-    depends_on/links/mount/networks entry. In lenient mode, dangling
-    references get phantom nodes (flagged on the node, listed by
-    ``ArchModel.phantom_names``); in strict mode they raise LoweringError.
-    The title comes from the descriptor's top-level ``name`` key when present,
-    else ``fallback_title``.
+    depends_on/links/mount/networks entry. Dangling references get phantom
+    nodes (flagged on the node, listed by ``ArchModel.phantom_names``); the
+    spec is not validated nor the model checked here, ``load_model`` does
+    both. The title is the top-level ``name`` key, else ``fallback_title``.
     """
-    if strict:
-        unresolved = [
-            issue for issue in validate(spec, strict=True) if issue.code == "DanglingReference"
-        ]
-        if unresolved:
-            raise LoweringError(
-                "unresolved references: " + "; ".join(issue.path for issue in unresolved)
-            )
-
     services: list[ServiceNode] = []
     for name, entry in spec.services.items():
         build = entry.build

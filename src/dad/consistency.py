@@ -12,7 +12,7 @@ from enum import Enum
 
 from . import compose
 from .dac_emit import emit_dac
-from .dac_ingest import emit_compose, lift, parse_dac
+from .dac_ingest import lift, parse_dac
 from .errors import DadError
 from .model import ArchModel, CanonicalForm, keyed, record
 from .model import canonicalize  # noqa: F401  (callers still read it from this module)
@@ -196,33 +196,20 @@ def compare_models(
     )
 
 
-def _gate_detail(issues) -> str:
-    # severity is implied by the Invalid verdict; repeating it would read
-    # "error: error: ..." in rendered reports
-    return "; ".join(
-        f"{issue.code}({issue.path}): {issue.message}"
-        for issue in issues
-        if issue.severity == "error"
-    )
-
-
 def round_trip_check(descriptor_text: str, strict: bool = False) -> ConsistencyReport:
     """Run the descriptor through the full loop and diff what comes back.
 
     descriptor -> model -> diagram script -> model -> descriptor -> model,
-    then compare the first and last models canonically. Pipeline failures
-    (YAML syntax, schema shapes, strict validation, dependency cycles) yield
-    an Invalid verdict carrying the error text; this never raises.
+    then compare the first and last models canonically. Failures of
+    ``compose.load_model`` (YAML syntax, schema shapes, validation, dependency
+    cycles) and of any later hop yield Invalid with the error; this never raises.
     """
     try:
-        spec = compose.parse_compose(descriptor_text)
-        issues = compose.validate(spec, strict=strict)
-        if not compose.issues_ok(issues):
-            return ConsistencyReport(Verdict.INVALID, error=_gate_detail(issues))
-        original = compose.lower(spec, strict=strict)
+        original, spec, _ = compose.load_model(descriptor_text, strict)
         script = emit_dac(original)
+        # lift has checked the model: emit_compose would only check it again
         lifted = lift(parse_dac(script.text))
-        descriptor_back = emit_compose(lifted)
+        descriptor_back = compose.serialize_compose(compose.unlower(lifted))
         relowered = compose.lower(
             compose.parse_compose(descriptor_back), fallback_title=original.title
         )
@@ -237,15 +224,11 @@ def check_diagram_against_descriptor(
     """Compare an existing diagram script with a descriptor.
 
     The descriptor model is the left side, the diagram model the right, so a
-    node only the diagram shows reports as ExtraNode. Parse or validation
-    failure on either side yields Invalid.
+    node only the diagram shows reports as ExtraNode. A failure of
+    ``compose.load_model`` or ``lift``, a dependency cycle included, yields Invalid.
     """
     try:
-        spec = compose.parse_compose(descriptor_text)
-        issues = compose.validate(spec, strict=strict)
-        if not compose.issues_ok(issues):
-            return ConsistencyReport(Verdict.INVALID, error=_gate_detail(issues))
-        descriptor_model = compose.lower(spec, strict=strict)
+        descriptor_model, spec, _ = compose.load_model(descriptor_text, strict)
         diagram_model = lift(parse_dac(dac_text, strict=strict))
     except DadError as exc:
         return ConsistencyReport(Verdict.INVALID, error=str(exc))

@@ -68,7 +68,17 @@ class CycleError(ModelError):
 
 
 class LoweringError(DadError):
-    """Strict lowering hit unresolved references."""
+    """The descriptor failed validation; ``issues`` holds every issue found."""
+
+    def __init__(self, issues):
+        super().__init__(issues)
+        self.issues = list(issues)
+
+    def __str__(self) -> str:
+        # the errors only: severity is implied, and repeating it would read
+        # "error: error: ..." in rendered reports
+        errors = (issue for issue in self.issues if issue.severity == "error")
+        return "; ".join(f"{issue.code}({issue.path}): {issue.message}" for issue in errors)
 
 
 class LiftError(DadError):

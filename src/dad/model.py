@@ -248,9 +248,6 @@ class CanonicalForm:
     networks: tuple[str, ...] = ()
     edges: tuple[tuple[str, str, str, str], ...] = ()
 
-    def node_count(self) -> int:
-        return len(self.services) + len(self.volumes) + len(self.networks)
-
     def edge_count(self) -> int:
         return len(self.edges)
 

@@ -9,20 +9,28 @@ ends by its exit code and not by a signal or a traceback, and
 its output bytes do not depend on the hash seed.
 """
 
+import contextlib
+import io
+import itertools
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dad import cli
-from dad.compose import lower, parse_compose
-from dad.model import model_equal
+from dad.compose import lower, parse_compose, serialize_compose, unlower
+from dad.consistency import Verdict, check_diagram_against_descriptor, round_trip_check
+from dad.dac_emit import emit_dac
+from dad.model import ArchModel, Edge, EdgeKind, model_equal
 
-from specgen import perfbench_gen
+from specgen import gen_model, perfbench_gen
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -37,6 +45,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# cyclic.yml without its worker -> api edge, as a diagram script
+ACYCLIC_SCRIPT = (
+    'with DaC("acyclic", direction="TB"):\n'
+    '  with Cluster("api service"):\n'
+    '    api = Server("api")  # image=example/api:1.0\n'
+    '  with Cluster("worker service"):\n'
+    '    worker = Server("worker")  # image=example/worker:1.0\n'
+    "  api >> worker\n"
+)
+CYCLE_WITNESS = "dependency cycle: api -> worker -> api"
 
 
 class TestGenerate:
@@ -253,8 +273,22 @@ class TestCheck:
             capsys, "check", "-i", str(CORPUS / "dblog_fragment.yml"), "--strict"
         )
         assert code == EXIT_INVALID
-        assert "DanglingReference" in out
-        assert "postgres" in out
+        assert out == (
+            "verdict: Invalid\n"
+            "error: DanglingReference(services.dblog.depends_on -> postgres): "
+            "references undeclared service 'postgres'\n"
+        )
+
+    @pytest.mark.parametrize("script_first", [True, False])
+    def test_pair_mode_cyclic_descriptor_is_invalid(self, capsys, tmp_path, script_first):
+        script = tmp_path / "acyclic.dac"
+        script.write_text(ACYCLIC_SCRIPT, encoding="utf-8")
+        pair = [str(script), str(CORPUS / "cyclic.yml")]
+        if not script_first:
+            pair.reverse()
+        code, out, err = run(capsys, "check", "-i", pair[0], "-i", pair[1])
+        assert code == EXIT_INVALID
+        assert out == f"verdict: Invalid\nerror: {CYCLE_WITNESS}\n"
 
     def test_pair_mode_consistent(self, capsys, tmp_path):
         script = tmp_path / "dblog.dac"
@@ -443,11 +477,75 @@ class TestDiff:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("override", [[], ["--left-format", "compose"]])
+    def test_cyclic_descriptor_is_invalid(self, capsys, override):
+        path = str(CORPUS / "cyclic.yml")
+        code, out, err = run(capsys, "diff", "-i", path, "-i", path, *override)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"error: CycleError: {CYCLE_WITNESS}\n"
+
     def test_three_inputs_rejected(self, capsys):
         path = str(CORPUS / "elk.yml")
         code, out, err = run(capsys, "diff", "-i", path, "-i", path, "-i", path)
         assert code == EXIT_INVALID
         assert "exactly two" in err
+
+
+def with_back_edge(model: ArchModel, pick: int) -> tuple[ArchModel, str, str]:
+    """The model plus one dependency edge that closes a cycle, and its ends."""
+    deps = [edge for edge in model.edges if edge.kind is EdgeKind.DEPENDENCY]
+    if deps:
+        forward = deps[pick % len(deps)]
+        src, dst = forward.dst, forward.src
+    else:  # a self dependency is a cycle too
+        src = dst = model.services[pick % len(model.services)].name
+    cyclic = ArchModel(
+        title=model.title,
+        services=model.services,
+        volumes=model.volumes,
+        networks=model.networks,
+        edges=model.edges + (Edge(EdgeKind.DEPENDENCY, src, dst),),
+    )
+    return cyclic, src, dst
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16))
+def test_cyclic_input_is_invalid_on_every_path(seed, pick):
+    model = gen_model(random.Random(seed))
+    cyclic, src, dst = with_back_edge(model, pick)
+    descriptor = {"acyclic": serialize_compose(unlower(model)), "cyclic": serialize_compose(unlower(cyclic))}
+    emitted = emit_dac(model)
+    idents = {label: ident for ident, kind, label in emitted.identifiers if kind == "Server"}
+    script = {"acyclic": emitted.text, "cyclic": emitted.text + f"  {idents[src]} >> {idents[dst]}\n"}
+
+    invalid = [
+        round_trip_check(descriptor["cyclic"]),
+        check_diagram_against_descriptor(script["acyclic"], descriptor["cyclic"]),
+        check_diagram_against_descriptor(script["cyclic"], descriptor["acyclic"]),
+    ]
+    for report in invalid:
+        assert report.verdict is Verdict.INVALID and "dependency cycle" in report.error, report
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for form in ("acyclic", "cyclic"):
+            paths[form, "yml"] = Path(tmp, f"{form}.yml")
+            paths[form, "yml"].write_text(descriptor[form], encoding="utf-8")
+            paths[form, "dac"] = Path(tmp, f"{form}.dac")
+            paths[form, "dac"].write_text(script[form], encoding="utf-8")
+        runs = [["check", "-i", str(paths["cyclic", "yml"])]]
+        for left, right in itertools.product(("yml", "dac"), repeat=2):
+            for left_form, right_form in (("cyclic", "acyclic"), ("acyclic", "cyclic")):
+                pair = ["-i", str(paths[left_form, left]), "-i", str(paths[right_form, right])]
+                runs.append(["diff", *pair])
+                if left != right:
+                    runs.append(["check", *pair])
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code == EXIT_INVALID, argv
 
 
 class TestUsage:

@@ -16,6 +16,7 @@ from dad.compose import (
     MountRef,
     ServiceEntry,
     issues_ok,
+    load_model,
     lower,
     parse_compose,
     serialize_compose,
@@ -24,7 +25,7 @@ from dad.compose import (
     validate,
 )
 from dad.consistency import Verdict, round_trip_check
-from dad.errors import ComposeSyntaxError, LoweringError, SchemaError
+from dad.errors import ComposeSyntaxError, CycleError, LoweringError, SchemaError
 from dad.model import BuildRef, EdgeKind
 
 from specgen import doc_to_yaml, gen_descriptor_doc
@@ -341,11 +342,6 @@ class TestLower:
         assert len(model.edges) == 2
         model.validate()
 
-    def test_strict_lowering_rejects_dangling_references(self):
-        spec = parse_compose("services:\n  a:\n    image: x\n    depends_on: [ghost]\n")
-        with pytest.raises(LoweringError, match="ghost"):
-            lower(spec, strict=True)
-
     def test_image_wins_over_build_in_lenient_mode(self):
         spec = parse_compose("services:\n  a:\n    image: x\n    build: ./a\n")
         node = lower(spec).services[0]
@@ -355,6 +351,36 @@ class TestLower:
         assert lower(parse_compose("name: billing stack\nservices: {}\n")).title == "billing stack"
         assert lower(parse_compose("services: {}\n")).title == "system"
         assert lower(parse_compose("services: {}\n"), fallback_title="alt").title == "alt"
+
+
+class TestLoadModel:
+    def test_strict_load_rejects_dangling_references(self):
+        text = "services:\n  a:\n    image: x\n    depends_on: [ghost]\n"
+        with pytest.raises(LoweringError, match="ghost") as err:
+            load_model(text, strict=True)
+        assert [issue.code for issue in err.value.issues] == ["DanglingReference"]
+        # lenient: a warning, and a phantom node in the model
+        model, spec, issues = load_model(text)
+        assert [issue.severity for issue in issues] == ["warning"]
+        assert model.phantom_names == ("ghost",)
+        assert model == lower(spec)
+
+    def test_message_lists_the_errors_only(self):
+        text = "services:\n  a:\n    depends_on: [ghost, '']\n"
+        with pytest.raises(LoweringError) as err:
+            load_model(text)
+        assert [issue.severity for issue in err.value.issues] == ["warning", "warning", "error"]
+        assert str(err.value) == (
+            "DanglingReference(services.a.depends_on -> ): references undeclared service ''"
+        )
+
+    def test_cycle_raises_with_witness(self):
+        with pytest.raises(CycleError, match="api -> worker -> api"):
+            load_model((CORPUS / "cyclic.yml").read_text(encoding="utf-8"))
+
+    def test_title_falls_back(self):
+        assert load_model("services: {}\n", fallback_title="alt")[0].title == "alt"
+        assert load_model("name: n\nservices: {}\n", fallback_title="alt")[0].title == "n"
 
 
 class TestUnlower:

@@ -323,6 +323,18 @@ class TestCheckPair:
         )
         assert report.verdict is Verdict.INVALID
 
+    def test_cyclic_descriptor_is_invalid_beside_an_acyclic_script(self):
+        cyclic = (
+            "services:\n"
+            "  api:\n    image: x\n    depends_on: [worker]\n"
+            "  worker:\n    image: y\n    depends_on: [api]\n"
+        )
+        acyclic = cyclic.replace("    depends_on: [api]\n", "")
+        script = emit_dac(lower(parse_compose(acyclic))).text
+        report = check_diagram_against_descriptor(script, cyclic)
+        assert report.verdict is Verdict.INVALID
+        assert report.error == "dependency cycle: api -> worker -> api"
+
     def test_broken_script_is_invalid(self):
         report = check_diagram_against_descriptor("nope\n", "services: {}\n")
         assert report.verdict is Verdict.INVALID
