@@ -8,15 +8,17 @@ exactly the retained subset. It is ``serialize_compose(unlower(model))`` from
 Columns are fixed by the indentation grammar (clusters and edges start at
 column 3, nodes at column 5), so elements track their line number only.
 
-The reader is a single pass: parse_dac visits each line once, matching it
-against one pattern chosen by its indentation (node lines) or against the
-edge and then the cluster pattern, and lift visits each node and edge once.
+The reader is a single pass. parse_dac checks the header, then one scan of
+one line pattern over the body gives a match per line, back to back: the
+fields of a node, an edge or a cluster line, or else the whole line, which
+is "  pass" or is handed to _diagnose for the error. Quoted spans never
+cross a line end, so a match never does either, and a line's number is its
+match's place. lift then visits each node and edge once.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 
 from .dac_emit import _checked, decode_annot_value, unescape_quoted
 from .errors import (
@@ -37,13 +39,20 @@ from .model import (
 )
 from . import compose
 
-_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+# a quoted span never crosses a line end, so the body scan below stays per line
+_QUOTED = r'"([^"\\\n]*(?:\\.[^"\\\n]*)*)"'
 _IDENT = r"([a-z_][a-z0-9_]*)"
-_ANNOT = r"(?:  # (.*))?"
+_ANNOT = r"(  # .*)?"  # "" when absent; the text after "  # " may itself be empty
 _HEADER_RE = re.compile(rf"with DaC\({_QUOTED}, direction=\"(TB|LR)\"\):")
-_CLUSTER_RE = re.compile(rf"  with Cluster\({_QUOTED}\):")
-_NODE_RE = re.compile(rf"    {_IDENT} = (Server|Storage|Network)\({_QUOTED}\){_ANNOT}")
-_EDGE_RE = re.compile(rf"  {_IDENT} (>>|-) {_IDENT}{_ANNOT}")
+# One body line per match, matches back to back from the line after the
+# header: a node, an edge or a cluster line, or else the whole line with its
+# newline in the last group ("  pass", or a line _diagnose explains).
+_LINE_RE = re.compile(
+    rf"    {_IDENT} = (Server|Storage|Network)\({_QUOTED}\){_ANNOT}\n"
+    rf"|  {_IDENT} (>>|-) {_IDENT}{_ANNOT}\n"
+    rf"|  with Cluster\({_QUOTED}\):\n"
+    r"|(.*\n)"
+)
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 Annotations = tuple[tuple[str, str], ...]
@@ -155,9 +164,8 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
     """
     if not text.endswith("\n"):
         raise DacSyntaxError("missing trailing newline", max(text.count("\n") + 1, 1))
-    lines = text.split("\n")
-    lines.pop()  # the empty string after the final newline
-    header = _HEADER_RE.fullmatch(lines[0]) if lines else None
+    body = text.find("\n") + 1
+    header = _HEADER_RE.fullmatch(text, 0, body - 1)
     if header is None:
         raise DacSyntaxError(
             "malformed header",
@@ -166,101 +174,83 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
         )
     title, direction = unescape_quoted(header.group(1)), header.group(2)
 
-    match_node, match_edge, match_cluster = (
-        _NODE_RE.fullmatch,
-        _EDGE_RE.fullmatch,
-        _CLUSTER_RE.fullmatch,
-    )
     clusters: list[DacCluster] = []
     edges: list[DacEdge] = []
     declared: dict[str, DacNode] = {}
     # the open cluster; nodes is None while no cluster is open
     cluster_name, cluster_line, nodes = "", 0, None
     saw_pass = False
-    for lineno, line in enumerate(islice(lines, 1, None), 2):
+    for lineno, (ident, kind, label, annot, src, op, dst, edge_annot, name, other) in enumerate(
+        _LINE_RE.findall(text, body), 2
+    ):
         if saw_pass:
             raise DacSyntaxError("content after pass", lineno, expected="end of script")
-        # node lines are the only ones indented twice; edge and cluster lines
-        # are told apart by their own patterns, which never both match
-        if line.startswith("    "):
-            match = match_node(line)
-            if match is None:
-                raise _diagnose(line, lineno)
+        if kind:
             if nodes is None:
                 raise DacSyntaxError(
                     "node outside a cluster", lineno, col=5, expected="cluster header first"
                 )
-            ident, kind, label, annot = match.groups()
             if ident in declared:
                 raise DuplicateIdentError(ident, lineno)
-            node = declared[ident] = DacNode(
-                ident,
-                kind,
-                unescape_quoted(label),
-                () if annot is None else _parse_annotations(annot, lineno),
-                lineno,
-            )
+            pairs = _parse_annotations(annot[4:], lineno) if annot else ()
+            node = declared[ident] = DacNode(ident, kind, unescape_quoted(label), pairs, lineno)
             nodes.append(node)
-        elif match := match_edge(line):
+        elif op:
             if nodes is not None:
                 _close_cluster(clusters, cluster_name, cluster_line, nodes)
                 nodes = None
-            src, op, dst, annot = match.groups()
             if strict:
                 if src not in declared:
                     raise UndeclaredIdentError(src, lineno)
                 if dst not in declared:
                     raise UndeclaredIdentError(dst, lineno)
-            edges.append(
-                DacEdge(
-                    op,
-                    src,
-                    dst,
-                    () if annot is None else _parse_annotations(annot, lineno),
-                    lineno,
-                )
-            )
-        elif match := match_cluster(line):
+            pairs = _parse_annotations(edge_annot[4:], lineno) if edge_annot else ()
+            edges.append(DacEdge(op, src, dst, pairs, lineno))
+        elif not other:
             if nodes is not None:
                 _close_cluster(clusters, cluster_name, cluster_line, nodes)
-            cluster_name, cluster_line, nodes = unescape_quoted(match.group(1)), lineno, []
-        elif line == "  pass":
+            cluster_name, cluster_line, nodes = unescape_quoted(name), lineno, []
+        elif other == "  pass\n":
             if clusters or edges or nodes is not None:
                 raise DacSyntaxError(
                     "pass is allowed only as the sole body line", lineno, col=3
                 )
             saw_pass = True
         else:
-            raise _diagnose(line, lineno)
+            raise _diagnose(other[:-1], lineno)
     if nodes is not None:
         _close_cluster(clusters, cluster_name, cluster_line, nodes)
 
     if not clusters and not edges and not saw_pass:
-        raise DacSyntaxError("empty body", len(lines) + 1, expected="cluster, edge or pass")
+        raise DacSyntaxError("empty body", text.count("\n") + 1, expected="cluster, edge or pass")
     return DacAst(title, direction, tuple(clusters), tuple(edges))
 
 
-def _lift_node(node: DacNode):
-    kind = node.kind
-    annots = dict(node.annotations)
+_NODE_TYPE = {"Server": ServiceNode, "Storage": VolumeNode, "Network": NetworkNode}
+
+
+def _lift_node(kind: str, label: str, annotations: Annotations, line: int):
+    if not annotations:
+        return _NODE_TYPE[kind](label)
+    annots = dict(annotations)
     allowed = _NODE_ANNOT_KEYS[kind]
     if not annots.keys() <= allowed:
         unknown = sorted(annots.keys() - allowed)
-        raise LiftError(f"line {node.line}: {kind} annotation keys {unknown} not understood")
+        raise LiftError(f"line {line}: {kind} annotation keys {unknown} not understood")
     phantom = annots.pop("phantom", None)
     if phantom is not None and phantom != "true":
-        raise LiftError(f"line {node.line}: phantom must be 'true', got {phantom!r}")
+        raise LiftError(f"line {line}: phantom must be 'true', got {phantom!r}")
     if kind == "Storage":
-        return VolumeNode(node.label, phantom is not None)
+        return VolumeNode(label, phantom is not None)
     if kind == "Network":
-        return NetworkNode(node.label, phantom is not None)
+        return NetworkNode(label, phantom is not None)
     if "build_dockerfile" in annots and "build_context" not in annots:
-        raise LiftError(f"line {node.line}: build_dockerfile without build_context")
+        raise LiftError(f"line {line}: build_dockerfile without build_context")
     build = None
     if "build_context" in annots:
         build = BuildRef(annots["build_context"], annots.get("build_dockerfile"))
     return ServiceNode(
-        node.label,
+        label,
         annots.get("image"),
         build,
         annots.get("container_name"),
@@ -268,11 +258,11 @@ def _lift_node(node: DacNode):
     )
 
 
-def _edge_target(edge: DacEdge) -> str | None:
-    annots = dict(edge.annotations)
+def _edge_target(annotations: Annotations, line: int) -> str | None:
+    annots = dict(annotations)
     unknown = annots.keys() - {"target"}
     if unknown:
-        raise LiftError(f"line {edge.line}: edge annotation keys {sorted(unknown)} not understood")
+        raise LiftError(f"line {line}: edge annotation keys {sorted(unknown)} not understood")
     return annots.get("target")
 
 
@@ -291,66 +281,65 @@ def lift(ast: DacAst) -> ArchModel:
     volumes: list[VolumeNode] = []
     networks: list[NetworkNode] = []
     by_ident: dict[str, tuple[str, str]] = {}  # ident -> (kind, node name)
+    nodes_of = {"Server": services, "Storage": volumes, "Network": networks}
     for cluster in ast.clusters:
-        for node in cluster.nodes:
-            kind = node.kind
-            lifted = _lift_node(node)
-            by_ident[node.ident] = (kind, lifted.name)
-            if kind == "Server":
-                services.append(lifted)
-            elif kind == "Storage":
-                volumes.append(lifted)
-            else:
-                networks.append(lifted)
+        for ident, kind, label, annotations, line in cluster.nodes:
+            by_ident[ident] = (kind, label)  # a node is named by its label
+            nodes_of[kind].append(_lift_node(kind, label, annotations, line))
 
     edges: list[Edge] = []
     # a mount is one volume at one target; compose._parse_mounts refuses a
     # repeat, so a descriptor could not hold the model
     mounts: set[tuple[str, str, str]] = set()
-    for edge in ast.edges:
-        annots = edge.annotations
-        if not annots:
+    # bound once, not read off the Enum class per edge
+    dependency, link, mount, attachment = (
+        EdgeKind.DEPENDENCY,
+        EdgeKind.LINK,
+        EdgeKind.MOUNT,
+        EdgeKind.ATTACHMENT,
+    )
+    for op, src_ident, dst_ident, annotations, line in ast.edges:
+        if not annotations:
             target = None
-        elif len(annots) == 1 and annots[0][0] == "target":
-            target = annots[0][1]
+        elif len(annotations) == 1 and annotations[0][0] == "target":
+            target = annotations[0][1]
         else:
-            target = _edge_target(edge)
+            target = _edge_target(annotations, line)
         # an identifier never declared is a phantom service, added on first use
-        src = by_ident.get(edge.src)
+        src = by_ident.get(src_ident)
         if src is None:
-            services.append(ServiceNode(edge.src, phantom=True))
-            src = by_ident[edge.src] = ("Server", edge.src)
-        dst = by_ident.get(edge.dst)
+            services.append(ServiceNode(src_ident, phantom=True))
+            src = by_ident[src_ident] = ("Server", src_ident)
+        dst = by_ident.get(dst_ident)
         if dst is None:
-            services.append(ServiceNode(edge.dst, phantom=True))
-            dst = by_ident[edge.dst] = ("Server", edge.dst)
+            services.append(ServiceNode(dst_ident, phantom=True))
+            dst = by_ident[dst_ident] = ("Server", dst_ident)
         src_kind, src_name = src
         dst_kind, dst_name = dst
-        if edge.op == ">>":
+        if op == ">>":
             if src_kind != "Server" or dst_kind != "Server":
-                raise LiftError(f"line {edge.line}: >> requires service endpoints")
+                raise LiftError(f"line {line}: >> requires service endpoints")
             if target is not None:
-                raise LiftError(f"line {edge.line}: target annotation is only for mounts")
-            edges.append(Edge(EdgeKind.DEPENDENCY, src_name, dst_name))
+                raise LiftError(f"line {line}: target annotation is only for mounts")
+            edges.append(Edge(dependency, src_name, dst_name))
             continue
         if src_kind != "Server" and dst_kind == "Server":
             # symmetric operator: put the service on the left
             src_kind, dst_kind = dst_kind, src_kind
             src_name, dst_name = dst_name, src_name
         if src_kind != "Server":
-            raise LiftError(f"line {edge.line}: - requires at least one service endpoint")
+            raise LiftError(f"line {line}: - requires at least one service endpoint")
         if dst_kind == "Storage":
             if target is not None:
-                mount = (src_name, dst_name, target)
-                if mount in mounts:
-                    raise LiftError(f"line {edge.line}: mounts {dst_name}:{target} twice")
-                mounts.add(mount)
-            edges.append(Edge(EdgeKind.MOUNT, src_name, dst_name, target))
+                placed = (src_name, dst_name, target)
+                if placed in mounts:
+                    raise LiftError(f"line {line}: mounts {dst_name}:{target} twice")
+                mounts.add(placed)
+            edges.append(Edge(mount, src_name, dst_name, target))
             continue
         if target is not None:
-            raise LiftError(f"line {edge.line}: target annotation is only for mounts")
-        kind = EdgeKind.LINK if dst_kind == "Server" else EdgeKind.ATTACHMENT
-        edges.append(Edge(kind, src_name, dst_name))
+            raise LiftError(f"line {line}: target annotation is only for mounts")
+        edges.append(Edge(link if dst_kind == "Server" else attachment, src_name, dst_name))
 
     model = ArchModel(ast.title, tuple(services), tuple(volumes), tuple(networks), tuple(edges))
     model.validate()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from enum import Enum
+from itertools import chain
 
 from .errors import CycleError, ModelError
 
@@ -164,27 +165,36 @@ class ArchModel:
         service_names = _unique_names("service", self.services)
         volume_names = _unique_names("volume", self.volumes)
         network_names = _unique_names("network", self.networks)
-        by_kind = {"service": service_names, "volume": volume_names, "network": network_names}
+        names_of = {
+            EdgeKind.DEPENDENCY: service_names,
+            EdgeKind.LINK: service_names,
+            EdgeKind.MOUNT: volume_names,
+            EdgeKind.ATTACHMENT: network_names,
+        }
+        mount = EdgeKind.MOUNT  # bound once, not read off the Enum class per edge
 
-        for svc in self.services:
-            if svc.image is not None and svc.build is not None:
-                raise ModelError(f"service {svc.name!r} declares both image and build")
+        for name, image, build, _, _ in self.services:
+            if image is not None and build is not None:
+                raise ModelError(f"service {name!r} declares both image and build")
 
-        for edge in self.edges:
-            if edge.src not in service_names:
-                raise ModelError(f"{edge.kind.value} edge source {edge.src!r} is not a declared service")
-            dst_kind = _EDGE_DST[edge.kind]
-            if edge.dst not in by_kind[dst_kind]:
+        for kind, src, dst, target in self.edges:
+            if src not in service_names:
+                raise ModelError(f"{kind.value} edge source {src!r} is not a declared service")
+            if dst not in names_of[kind]:
                 raise ModelError(
-                    f"{edge.kind.value} edge destination {edge.dst!r} is not a declared {dst_kind}"
+                    f"{kind.value} edge destination {dst!r} is not a declared {_EDGE_DST[kind]}"
                 )
-            if edge.target is not None and edge.kind is not EdgeKind.MOUNT:
-                raise ModelError(f"target annotation is only valid on mount edges, not {edge.kind.value}")
+            if target is not None and kind is not mount:
+                raise ModelError(f"target annotation is only valid on mount edges, not {kind.value}")
 
         assert_acyclic(self)
 
 
 def _unique_names(kind: str, nodes: tuple) -> set[str]:
+    names = {node.name for node in nodes}
+    if len(names) == len(nodes) and all(names):
+        return names
+    # name the first offender, in node order
     seen: set[str] = set()
     for node in nodes:
         if not node.name:
@@ -199,38 +209,45 @@ def assert_acyclic(model: ArchModel) -> None:
     """Raise CycleError with a witness path if the dependency subgraph has a cycle.
 
     Only dependency edges are considered; link/mount/attachment edges carry no
-    ordering semantics.
+    ordering semantics. The search starts at each service with dependency
+    edges in model order, so the witness is the first cycle met that way.
     """
-    adjacency: dict[str, list[str]] = {svc.name: [] for svc in model.services}
-    for edge in model.edges:
-        if edge.kind is EdgeKind.DEPENDENCY:
-            adjacency.setdefault(edge.src, []).append(edge.dst)
+    adjacency: dict[str, list[str]] = {}
+    dependency = EdgeKind.DEPENDENCY
+    for kind, src, dst, _ in model.edges:
+        if kind is dependency:
+            targets = adjacency.get(src)
+            if targets is None:
+                adjacency[src] = [dst]
+            else:
+                targets.append(dst)
+    if not adjacency:
+        return
 
     done: set[str] = set()
-    for start in adjacency:
-        if start in done:
+    # a source that is no declared service, which validate refuses, comes last
+    for start in chain([svc.name for svc in model.services], adjacency):
+        if start in done or start not in adjacency:
             continue
-        # Iterative DFS keeping the current path for the witness.
-        path: list[str] = []
-        on_path: set[str] = set()
-        stack: list[tuple[str, int]] = [(start, 0)]
-        while stack:
-            node, edge_idx = stack.pop()
-            if edge_idx == 0:
-                path.append(node)
-                on_path.add(node)
-            neighbors = adjacency.get(node, [])
-            if edge_idx < len(neighbors):
-                stack.append((node, edge_idx + 1))
-                nxt = neighbors[edge_idx]
+        # Iterative DFS keeping the current path for the witness. A service
+        # without dependencies is on no cycle, so the search does not enter it.
+        path = [start]
+        on_path = {start}
+        unvisited = [iter(adjacency[start])]  # the dependencies left, per path node
+        while unvisited:
+            for nxt in unvisited[-1]:
                 if nxt in on_path:
                     raise CycleError(path[path.index(nxt):] + [nxt])
-                if nxt not in done:
-                    stack.append((nxt, 0))
+                if nxt not in done and nxt in adjacency:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    unvisited.append(iter(adjacency[nxt]))
+                    break
             else:
-                done.add(node)
+                unvisited.pop()
+                node = path.pop()
                 on_path.discard(node)
-                path.pop()
+                done.add(node)
 
 
 @record
@@ -264,17 +281,17 @@ class CanonicalForm:
         return "\n".join(lines) + "\n"
 
 
-def _service_attrs(svc: ServiceNode) -> tuple[tuple[str, str], ...]:
+def _service_attrs(image, build, container_name) -> tuple[tuple[str, str], ...]:
     # appended in key order: build_context, build_dockerfile, container_name, image
     attrs = []
-    if svc.build is not None:
-        attrs.append(("build_context", svc.build.context))
-        if svc.build.dockerfile is not None:
-            attrs.append(("build_dockerfile", svc.build.dockerfile))
-    if svc.container_name is not None:
-        attrs.append(("container_name", svc.container_name))
-    if svc.image is not None:
-        attrs.append(("image", svc.image))
+    if build is not None:
+        attrs.append(("build_context", build.context))
+        if build.dockerfile is not None:
+            attrs.append(("build_dockerfile", build.dockerfile))
+    if container_name is not None:
+        attrs.append(("container_name", container_name))
+    if image is not None:
+        attrs.append(("image", image))
     return tuple(attrs)
 
 
@@ -308,10 +325,15 @@ def keyed(model: ArchModel | CanonicalForm) -> KeyedForm:
             Counter(model.edges),
         )
     return KeyedForm(
-        services={s.name: _service_attrs(s) for s in model.services},
+        services={
+            name: _service_attrs(image, build, container_name)
+            for name, image, build, container_name, _ in model.services
+        },
         volumes=frozenset(v.name for v in model.volumes),
         networks=frozenset(n.name for n in model.networks),
-        edges=Counter((_KIND_VALUE[e.kind], e.src, e.dst, e.target or "") for e in model.edges),
+        edges=Counter(
+            (_KIND_VALUE[kind], src, dst, target or "") for kind, src, dst, target in model.edges
+        ),
     )
 
 

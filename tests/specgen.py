@@ -283,3 +283,24 @@ def mutate_model(rng: random.Random, model: ArchModel) -> tuple[ArchModel, str]:
         ),
         op,
     )
+
+
+def scaled_model(n: int) -> ArchModel:
+    """n services; each but the first has a dependency, a link, a mount and an attachment.
+
+    The dependencies form one chain from the last service to the first, so a
+    depth-first search over them goes n deep.
+    """
+    services = tuple(
+        ServiceNode(f"s{i}", build=BuildRef(f"./s{i}", "D")) if i % 2 else ServiceNode(f"s{i}", "x")
+        for i in range(n)
+    )
+    volumes = tuple(VolumeNode(f"v{i}") for i in range(n // 4))
+    networks = tuple(NetworkNode(f"n{i}") for i in range(n // 8))
+    edges = []
+    for i in range(1, n):
+        edges.append(Edge(EdgeKind.DEPENDENCY, f"s{i}", f"s{i - 1}"))
+        edges.append(Edge(EdgeKind.LINK, f"s{i}", f"s{i // 2}"))
+        edges.append(Edge(EdgeKind.MOUNT, f"s{i}", f"v{i % len(volumes)}", f"/data/{i}"))
+        edges.append(Edge(EdgeKind.ATTACHMENT, f"s{i}", f"n{i % len(networks)}"))
+    return ArchModel("scale", services, volumes, networks, tuple(edges))

@@ -37,7 +37,7 @@ from dad.model import (
     VolumeNode,
 )
 
-from specgen import gen_model, mutate_model
+from specgen import gen_model, mutate_model, scaled_model
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -513,6 +513,27 @@ def test_accepted_scripts_read_like_the_reference(name, strict):
     assert_reads_like_reference(ACCEPTED[name], strict)
 
 
+# A quote left open at the end of a line is a malformed line, not a span
+# that goes on to the next line's quote: a reader that scans the whole body
+# at once must not let a quoted span run over a line end.
+OPEN_QUOTES = {
+    "cluster name": (('  with Cluster("a', 'service"):', *CLUSTER_A[1:]), 2),
+    "node label": ((CLUSTER_A[0], '    a = Server("a', '")', *CLUSTER_B), 3),
+    "label with an escaped quote": ((CLUSTER_A[0], '    a = Server("a\\"', '")'), 3),
+    "label after a node": ((*CLUSTER_A, '    b = Storage("b', '")  # phantom=true'), 4),
+}
+
+
+@pytest.mark.parametrize("name", OPEN_QUOTES)
+@pytest.mark.parametrize("strict", [True, False])
+def test_quoted_text_ends_on_its_own_line(name, strict):
+    body, line = OPEN_QUOTES[name]
+    outcome = assert_reads_like_reference(script(*body), strict)
+    assert outcome[0] == "parse error", outcome
+    raised, _message, raised_line, _col, _expected = outcome[1]
+    assert raised is DacSyntaxError and raised_line == line, outcome
+
+
 def lift_outcome(lift_, ast: DacAst):
     try:
         return lift_(ast)
@@ -588,21 +609,7 @@ def test_mutated_scripts_read_like_the_reference(base, ops, strict):
 
 
 def scaled_script(n: int) -> str:
-    """n services; each but the first has a dependency, a link, a mount and an attachment."""
-    services = tuple(
-        ServiceNode(f"s{i}", build=BuildRef(f"./s{i}", "D")) if i % 2 else ServiceNode(f"s{i}", "x")
-        for i in range(n)
-    )
-    volumes = tuple(VolumeNode(f"v{i}") for i in range(n // 4))
-    networks = tuple(NetworkNode(f"n{i}") for i in range(n // 8))
-    edges = []
-    for i in range(1, n):
-        edges.append(Edge(EdgeKind.DEPENDENCY, f"s{i}", f"s{i - 1}"))
-        edges.append(Edge(EdgeKind.LINK, f"s{i}", f"s{i // 2}"))
-        edges.append(Edge(EdgeKind.MOUNT, f"s{i}", f"v{i % len(volumes)}", f"/data/{i}"))
-        edges.append(Edge(EdgeKind.ATTACHMENT, f"s{i}", f"n{i % len(networks)}"))
-    model = ArchModel("scale", services, volumes, networks, tuple(edges))
-    return emit_dac(model).text
+    return emit_dac(scaled_model(n)).text
 
 
 def test_reader_cost_is_linear_in_services():

@@ -7,6 +7,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 
 import pytest
 
@@ -29,6 +30,8 @@ from dad.model import (
     model_equal,
     record,
 )
+
+from specgen import scaled_model
 
 
 def brute_force_has_cycle(names: list[str], edges: list[tuple[str, str]]) -> bool:
@@ -169,6 +172,26 @@ class TestAssertAcyclic:
             assert_acyclic(m)
         assert exc.value.cycle == ["a", "a"]
 
+    def test_witness_is_the_first_cycle_in_model_order(self):
+        # Leaf services come first and the later cycle's edges are listed
+        # first; the search starts at services in model order, so the witness
+        # is the cycle through a, whatever the edge order.
+        m = ArchModel(
+            services=services("leaf1", "leaf2", "a", "b", "c", "d"),
+            edges=(
+                dep("c", "d"),
+                dep("d", "c"),
+                dep("a", "leaf1"),
+                dep("a", "b"),
+                dep("b", "leaf2"),
+                dep("b", "a"),
+            ),
+        )
+        with pytest.raises(CycleError) as exc:
+            m.validate()
+        assert exc.value.cycle == ["a", "b", "a"]
+        assert str(exc.value) == "dependency cycle: a -> b -> a"
+
     def test_random_dag_of_20_nodes_ok(self):
         rng = random.Random(2024)
         names = [f"s{i}" for i in range(20)]
@@ -270,6 +293,21 @@ class TestValidate:
         m = ArchModel(services=services("a", "b"), edges=(dep("a", "b"), dep("b", "a")))
         with pytest.raises(CycleError):
             m.validate()
+
+    def test_cost_is_linear_in_services(self):
+        def best_of_3(model: ArchModel) -> float:
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                model.validate()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        small, large = best_of_3(scaled_model(200)), best_of_3(scaled_model(4000))
+        # 20x the services: linear cost is ~20x
+        assert large < 100 * small, (
+            f"200 services {small * 1e3:.2f} ms, 4000 services {large * 1e3:.2f} ms"
+        )
 
 
 # One value of each record type and its repr, as the frozen dataclasses these
