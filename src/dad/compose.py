@@ -192,13 +192,13 @@ def _parse_services(mapping: dict, spec: ComposeSpec) -> None:
             elif key == "container_name":
                 entry.container_name = _require_str(value, path)
             elif key == "depends_on":
-                entry.depends_on = _parse_depends_on(value, name, path, spec)
+                entry.depends_on = _parse_names(value, name, key, path, spec)
             elif key == "links":
                 entry.links = _parse_links(value, name, path, spec)
             elif key == "volumes":
                 entry.volumes = _parse_mounts(value, name, path, spec)
             elif key == "networks":
-                entry.networks = _parse_service_networks(value, name, path, spec)
+                entry.networks = _parse_names(value, name, key, path, spec)
             else:
                 spec.residue[("services", name, key)] = value
 
@@ -222,18 +222,18 @@ def _parse_build(value, svc: str, path: str, spec: ComposeSpec) -> BuildRef:
     raise SchemaError(path, f"must be a string or mapping, got {type(value).__name__}")
 
 
-def _parse_depends_on(value, svc: str, path: str, spec: ComposeSpec) -> list[str]:
-    # Long (map) syntax is normalized to the name list; per-name bodies such
-    # as {condition: ...} are residue.
+def _parse_names(value, svc: str, key: str, path: str, spec: ComposeSpec) -> list[str]:
+    # depends_on or networks: the long (map) syntax is normalized to the name
+    # list; per-name bodies such as {condition: ...} are residue.
     if isinstance(value, list):
         return [_require_str(item, f"{path}[{i}]") for i, item in enumerate(value)]
     if isinstance(value, dict):
         names = []
-        for dep_name, body in value.items():
-            dep_name = _require_str(dep_name, f"{path} key {dep_name!r}")
-            names.append(dep_name)
+        for name, body in value.items():
+            name = _require_str(name, f"{path} key {name!r}")
+            names.append(name)
             if body is not None:
-                spec.residue[("services", svc, "depends_on", dep_name)] = body
+                spec.residue[("services", svc, key, name)] = body
         return names
     raise SchemaError(path, f"must be a list or mapping, got {type(value).__name__}")
 
@@ -249,20 +249,6 @@ def _parse_links(value, svc: str, path: str, spec: ComposeSpec) -> list[str]:
         if sep:
             spec.residue[("services", svc, "links", i)] = alias
     return names
-
-
-def _parse_service_networks(value, svc: str, path: str, spec: ComposeSpec) -> list[str]:
-    if isinstance(value, list):
-        return [_require_str(item, f"{path}[{i}]") for i, item in enumerate(value)]
-    if isinstance(value, dict):
-        names = []
-        for net_name, body in value.items():
-            net_name = _require_str(net_name, f"{path} key {net_name!r}")
-            names.append(net_name)
-            if body is not None:
-                spec.residue[("services", svc, "networks", net_name)] = body
-        return names
-    raise SchemaError(path, f"must be a list or mapping, got {type(value).__name__}")
 
 
 def _parse_mounts(value, svc: str, path: str, spec: ComposeSpec) -> list[MountRef]:
@@ -488,13 +474,11 @@ def unlower(model: ArchModel) -> ComposeSpec:
     and so does a phantom service with no edges of its own: none was declared
     in any descriptor, and a lenient reparse synthesizes them again. A mount
     edge needs its target path back; refusing to invent one (EmitError) keeps
-    the round trip honest. A mount edge repeated is refused too, since
-    ``_parse_mounts`` refuses the descriptor that would hold it.
+    the round trip honest. A repeated mount is the emitters' guard's to refuse.
     """
     entries = {
         svc.name: ServiceEntry(svc.image, svc.build, svc.container_name) for svc in model.services
     }
-    mounts: set[tuple[str, str, str]] = set()
     for edge in model.edges:
         entry = entries[edge.src]
         kind = edge.kind
@@ -508,13 +492,6 @@ def unlower(model: ArchModel) -> ComposeSpec:
                     f"mount {edge.src} - {edge.dst} has no target path; "
                     "cannot place it in a descriptor"
                 )
-            mount = (edge.src, edge.dst, edge.target)
-            if mount in mounts:
-                raise EmitError(
-                    f"{edge.src} mounts {edge.dst}:{edge.target} twice; "
-                    "a descriptor cannot hold it"
-                )
-            mounts.add(mount)
             entry.volumes.append(MountRef(edge.dst, edge.target))
         else:
             entry.networks.append(edge.dst)
@@ -530,27 +507,17 @@ def unlower(model: ArchModel) -> ComposeSpec:
     )
 
 
-def spec_to_mapping(spec: ComposeSpec, retained: bool = True, residue: bool = True) -> dict:
-    """Rebuild the descriptor document tree from a spec.
-
-    With both halves enabled this is the faithful document used by
-    ``serialize_compose``. Either half can be rendered alone, which is how the
-    retained/residue partition is checked.
-    """
-    groups = _group_residue(spec.residue) if residue else {}
+def spec_to_mapping(spec: ComposeSpec) -> dict:
+    """Rebuild the descriptor document tree, retained fields and residue, from a spec."""
+    groups = _group_residue(spec.residue)
     doc: dict = dict(groups.get((), {}))
-    if retained:
-        doc["services"] = {
-            name: _service_body(groups, name, entry) for name, entry in spec.services.items()
-        }
-        if spec.volumes:
-            doc["volumes"] = {name: groups.get(("volumes", name)) or None for name in spec.volumes}
-        if spec.networks:
-            doc["networks"] = {name: groups.get(("networks", name)) or None for name in spec.networks}
-    if residue and not retained:
-        for path, value in spec.residue.items():
-            if len(path) > 1:
-                _splice(doc, path, value)
+    doc["services"] = {
+        name: _service_body(groups, name, entry) for name, entry in spec.services.items()
+    }
+    if spec.volumes:
+        doc["volumes"] = {name: groups.get(("volumes", name)) or None for name in spec.volumes}
+    if spec.networks:
+        doc["networks"] = {name: groups.get(("networks", name)) or None for name in spec.networks}
     return doc
 
 
@@ -562,11 +529,12 @@ def _group_residue(residue: dict[ResiduePath, object]) -> dict[ResiduePath, dict
     return groups
 
 
-def _splice(doc: dict, path: ResiduePath, value: object) -> None:
-    node = doc
-    for part in path[:-1]:
-        node = node.setdefault(part, {})
-    node[path[-1]] = value
+def _names_value(groups: dict[ResiduePath, dict], owner: ResiduePath, key: str, names: list[str]):
+    # the map form when any name has a body in residue, else the name list
+    bodies = groups.get((*owner, key))
+    if bodies:
+        return {name: bodies.get(name) for name in names}
+    return list(names)
 
 
 def _service_body(groups: dict[ResiduePath, dict], name: str, entry: ServiceEntry) -> dict | None:
@@ -587,11 +555,7 @@ def _service_body(groups: dict[ResiduePath, dict], name: str, entry: ServiceEntr
     if entry.container_name is not None:
         body["container_name"] = entry.container_name
     if entry.depends_on:
-        conditions = groups.get((*owner, "depends_on"))
-        if conditions:
-            body["depends_on"] = {dep: conditions.get(dep) for dep in entry.depends_on}
-        else:
-            body["depends_on"] = list(entry.depends_on)
+        body["depends_on"] = _names_value(groups, owner, "depends_on", entry.depends_on)
     if entry.links:
         aliases = groups.get((*owner, "links"), {})
         body["links"] = [
@@ -603,11 +567,7 @@ def _service_body(groups: dict[ResiduePath, dict], name: str, entry: ServiceEntr
     if volume_items:
         body["volumes"] = volume_items
     if entry.networks:
-        bodies = groups.get((*owner, "networks"))
-        if bodies:
-            body["networks"] = {net: bodies.get(net) for net in entry.networks}
-        else:
-            body["networks"] = list(entry.networks)
+        body["networks"] = _names_value(groups, owner, "networks", entry.networks)
     for key, value in own.items():
         # the "volumes" entry holds the mount passthrough merged above
         if key != "volumes":

@@ -14,7 +14,7 @@ from . import compose
 from .dac_emit import emit_dac
 from .dac_ingest import lift, parse_dac
 from .errors import DadError
-from .model import ArchModel, CanonicalForm, keyed, record
+from .model import ArchModel, CanonicalForm, edge_order, keyed, record
 from .model import canonicalize  # noqa: F401  (callers still read it from this module)
 
 
@@ -136,11 +136,13 @@ def diff_models(
     )
 
     # leftover edges: the keys whose counts differ, sorted, grouped by
-    # (kind, src, dst) into sorted (left, right) targets
+    # (kind, src, dst) into sorted (left, right) targets; no target prints as ''
     left_edges, right_edges = lk.edges, rk.edges
     groups: dict[tuple[str, str, str], tuple[list[str], list[str]]] = {}
-    for key in sorted({key for key, _ in left_edges.items() ^ right_edges.items()}):
+    for key in sorted({key for key, _ in left_edges.items() ^ right_edges.items()}, key=edge_order):
         kind, src, dst, target = key
+        if target is None:
+            target = ""
         surplus = left_edges[key] - right_edges[key]
         l_targets, r_targets = groups.setdefault((kind, src, dst), ([], []))
         if surplus > 0:

@@ -234,10 +234,20 @@ def _endpoints(edge, idents: _Idents) -> tuple[str, str]:
 
 
 def _checked(model: ArchModel) -> ArchModel:
+    """The guard of every emitter: the model, once valid and free of repeated mounts."""
     try:
         model.validate()
     except ModelError as exc:
         raise EmitError(f"refusing to emit invalid model: {exc}") from exc
+    # lift and compose._parse_mounts refuse a volume mounted twice at one
+    # target, so no script or descriptor holding it would read back
+    mount = EdgeKind.MOUNT
+    mounts: set[tuple[str, str, str]] = set()
+    for kind, src, dst, target in model.edges:
+        if kind is mount and target is not None:
+            if (src, dst, target) in mounts:
+                raise EmitError(f"{src} mounts {dst}:{target} twice; a descriptor cannot hold it")
+            mounts.add((src, dst, target))
     return model
 
 

@@ -353,6 +353,7 @@ def emit_compose(model: ArchModel) -> str:
     written as ``dad`` writes them from any descriptor. Key order follows
     model order, phantom nodes stay undeclared unless a phantom service has
     edges of its own, and a mount edge without a target path is refused
-    (EmitError), as is a model that fails ``ArchModel.validate``.
+    (EmitError), as is a model that fails the emitters' guard: one that fails
+    ``ArchModel.validate`` or mounts a volume twice at one target.
     """
     return compose.serialize_compose(compose.unlower(_checked(model)))

@@ -254,19 +254,16 @@ def assert_acyclic(model: ArchModel) -> None:
 class CanonicalForm:
     """Order-free projection of a model onto the retained subset.
 
-    Node lists are sorted by name within their kind, edges by
-    (kind, src, dst, target), attribute pairs by key. Title and phantom flags
-    are excluded: the former is diagram metadata, the latter provenance.
+    Node lists are sorted by name within their kind, edges by ``edge_order``,
+    attribute pairs by key. Title and phantom flags are excluded: the former
+    is diagram metadata, the latter provenance.
     canonicalize(canonicalize(x)) == canonicalize(x) by construction.
     """
 
     services: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] = ()
     volumes: tuple[str, ...] = ()
     networks: tuple[str, ...] = ()
-    edges: tuple[tuple[str, str, str, str], ...] = ()
-
-    def edge_count(self) -> int:
-        return len(self.edges)
+    edges: tuple[tuple[str, str, str, str | None], ...] = ()
 
     def as_text(self) -> str:
         """Stable one-line-per-element rendering, handy for byte-level comparisons."""
@@ -277,7 +274,8 @@ class CanonicalForm:
         lines.extend(f"volume {name}" for name in self.volumes)
         lines.extend(f"network {name}" for name in self.networks)
         for kind, src, dst, target in self.edges:
-            lines.append(f"edge {kind} {src} -> {dst}" + (f" target={target}" if target else ""))
+            suffix = "" if target is None else f" target={target}"
+            lines.append(f"edge {kind} {src} -> {dst}{suffix}")
         return "\n".join(lines) + "\n"
 
 
@@ -301,18 +299,25 @@ class KeyedForm:
 
     ``services`` maps each service name to its attribute pairs (sorted by key),
     ``volumes`` and ``networks`` hold the names, and ``edges`` counts each
-    (kind value, src, dst, target or "") tuple, so a repeated edge counts
-    twice. It holds what :class:`CanonicalForm` holds, before any sorting; a
-    node name listed twice, which ``ArchModel.validate`` refuses, counts once.
+    (kind value, src, dst, target) tuple, so a repeated edge counts twice and
+    a mount with no target (None) differs from one at ``""``. It holds what
+    :class:`CanonicalForm` holds, before any sorting; a node name listed
+    twice, which ``ArchModel.validate`` refuses, counts once.
     """
 
     services: dict[str, tuple[tuple[str, str], ...]]
     volumes: frozenset[str]
     networks: frozenset[str]
-    edges: Counter[tuple[str, str, str, str]]
+    edges: Counter[tuple[str, str, str, str | None]]
 
 
 _KIND_VALUE = {kind: kind.value for kind in EdgeKind}
+
+
+def edge_order(edge: tuple[str, str, str, str | None]) -> tuple:
+    """Sort key of a keyed edge: by kind, src, dst, then target, no target first."""
+    kind, src, dst, target = edge
+    return kind, src, dst, target is not None, target or ""
 
 
 def keyed(model: ArchModel | CanonicalForm) -> KeyedForm:
@@ -332,7 +337,7 @@ def keyed(model: ArchModel | CanonicalForm) -> KeyedForm:
         volumes=frozenset(v.name for v in model.volumes),
         networks=frozenset(n.name for n in model.networks),
         edges=Counter(
-            (_KIND_VALUE[kind], src, dst, target or "") for kind, src, dst, target in model.edges
+            (_KIND_VALUE[kind], src, dst, target) for kind, src, dst, target in model.edges
         ),
     )
 
@@ -346,7 +351,7 @@ def canonicalize(model: ArchModel | CanonicalForm) -> CanonicalForm:
         services=tuple(sorted(form.services.items())),
         volumes=tuple(sorted(form.volumes)),
         networks=tuple(sorted(form.networks)),
-        edges=tuple(sorted(form.edges.elements())),
+        edges=tuple(sorted(form.edges.elements(), key=edge_order)),
     )
 
 

@@ -455,6 +455,34 @@ class TestDiff:
         assert code == EXIT_INCONSISTENT
         assert out.splitlines()[2:] == ["AttributeMismatch\tservices.app.image\t\t"]
 
+    def test_empty_mount_target_against_an_absent_one_is_inconsistent(self, capsys, tmp_path):
+        script = (
+            'with DaC("t", direction="TB"):\n'
+            '  with Cluster("web service"):\n'
+            '    web = Server("web")  # image=x\n'
+            '  with Cluster("data volume"):\n'
+            '    data = Storage("data")\n'
+            "  web - data{}\n"
+        )
+        blank_dac, absent_dac = tmp_path / "blank.dac", tmp_path / "absent.dac"
+        blank_dac.write_text(script.format("  # target="), encoding="utf-8")
+        absent_dac.write_text(script.format(""), encoding="utf-8")
+        code, out, err = run(capsys, "diff", "-i", str(blank_dac), "-i", str(absent_dac))
+        assert code == EXIT_INCONSISTENT
+        assert "  AttributeMismatch edges.mount.web->data.target (left: '', right: '')\n" in out
+
+        blank_yml = tmp_path / "blank.yml"
+        blank_yml.write_text(
+            "services:\n  web:\n    image: x\n"
+            "    volumes: [{type: volume, source: data, target: ''}]\nvolumes:\n  data:\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "check", "-i", str(absent_dac), "-i", str(blank_yml))
+        assert code == EXIT_INCONSISTENT
+        assert "  AttributeMismatch edges.mount.web->data.target (left: '', right: '')\n" in out
+        code, out, err = run(capsys, "check", "-i", str(blank_dac), "-i", str(blank_yml))
+        assert code == EXIT_OK, out
+
     def test_left_format_override(self, capsys, tmp_path):
         script_no_suffix = tmp_path / "diagram.txt"
         run(

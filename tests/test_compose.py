@@ -54,6 +54,22 @@ WEB_STACK = textwrap.dedent(
 )
 
 
+def retained_doc_of(spec: ComposeSpec) -> dict:
+    """The document of the retained half alone: the spec with its residue left out."""
+    return spec_to_mapping(ComposeSpec(spec.services, spec.volumes, spec.networks))
+
+
+def residue_doc_of(spec: ComposeSpec) -> dict:
+    """The document of the residue half alone: each value placed at its own path."""
+    doc: dict = {}
+    for path, value in spec.residue.items():
+        node = doc
+        for part in path[:-1]:
+            node = node.setdefault(part, {})
+        node[path[-1]] = value
+    return doc
+
+
 def deep_merge(left, right):
     """Structural union of two document trees; None acts as the identity."""
     if isinstance(left, dict) and isinstance(right, dict):
@@ -86,8 +102,8 @@ class TestParse:
 
     def test_partition_is_disjoint_and_jointly_faithful(self):
         spec = parse_compose(WEB_STACK)
-        retained_doc = spec_to_mapping(spec, retained=True, residue=False)
-        residue_doc = spec_to_mapping(spec, retained=False, residue=True)
+        retained_doc = retained_doc_of(spec)
+        residue_doc = residue_doc_of(spec)
         assert "ports" not in retained_doc["services"]["web"]
         assert "image" not in residue_doc.get("services", {}).get("web", {})
         merged = deep_merge(retained_doc, residue_doc)
@@ -98,8 +114,8 @@ class TestParse:
         for _ in range(40):
             doc = gen_descriptor_doc(rng)
             spec = parse_compose(doc_to_yaml(doc))
-            retained_doc = spec_to_mapping(spec, retained=True, residue=False)
-            residue_doc = spec_to_mapping(spec, retained=False, residue=True)
+            retained_doc = retained_doc_of(spec)
+            residue_doc = residue_doc_of(spec)
             assert deep_merge(retained_doc, residue_doc) == doc
 
     def test_empty_document(self):

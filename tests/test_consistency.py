@@ -418,7 +418,10 @@ def test_ill_typed_tagged_scalar_is_invalid_not_a_crash(yaml_backend, text):
 
 
 def reference_diff_models(left: ArchModel, right: ArchModel) -> list[DiffEntry]:
-    """The original diff_models, which rescans every leftover edge per key."""
+    """The original diff_models, which rescans every leftover edge per key.
+
+    A mount with no target (None) sorts before every target and prints as ''.
+    """
     ca, cb = canonicalize(left), canonicalize(right)
     entries: list[DiffEntry] = []
 
@@ -434,12 +437,16 @@ def reference_diff_models(left: ArchModel, right: ArchModel) -> list[DiffEntry]:
     exact = left_edges & right_edges
     left_rest, right_rest = left_edges - exact, right_edges - exact
     keys = {e[:3] for e in left_rest} | {e[:3] for e in right_rest}
-    lt = sorted(left_rest.elements())
-    rt = sorted(right_rest.elements())
+
+    def order(edge):
+        return edge[:3], edge[3] is not None, edge[3] or ""
+
+    lt = sorted(left_rest.elements(), key=order)
+    rt = sorted(right_rest.elements(), key=order)
     for kind, src, dst in sorted(keys):
         subject = f"edges.{kind}.{src}->{dst}"
-        l_targets = [e[3] for e in lt if e[:3] == (kind, src, dst)]
-        r_targets = [e[3] for e in rt if e[:3] == (kind, src, dst)]
+        l_targets = [e[3] or "" for e in lt if e[:3] == (kind, src, dst)]
+        r_targets = [e[3] or "" for e in rt if e[:3] == (kind, src, dst)]
         paired = min(len(l_targets), len(r_targets))
         for lv, rv in zip(l_targets[:paired], r_targets[:paired]):
             entries.append(
@@ -526,10 +533,16 @@ class TestDiffModelsEquivalence:
 
 
 def with_repeats_and_blanks(rng: random.Random, model: ArchModel) -> ArchModel:
-    """The model with some edges repeated and some attributes set to "", still valid."""
-    edges = list(model.edges)
+    """The model with some edges repeated, some attributes and mount targets set
+    to "", and some mount targets dropped; still valid."""
+    edges = [
+        Edge(edge.kind, edge.src, edge.dst, rng.choice(["", None]))
+        if edge.kind is EdgeKind.MOUNT and rng.random() < 0.2
+        else edge
+        for edge in model.edges
+    ]
     if edges:
-        edges.extend(rng.choice(model.edges) for _ in range(rng.choice([0, 0, 1, 3])))
+        edges.extend(rng.choice(edges) for _ in range(rng.choice([0, 0, 1, 3])))
         rng.shuffle(edges)
     services = list(model.services)
     for index in rng.sample(range(len(services)), min(len(services), rng.choice([0, 0, 1, 2]))):

@@ -6,7 +6,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dad.dac_emit import (
@@ -22,9 +22,20 @@ from dad.dac_emit import (
     unescape_quoted,
 )
 from dad.consistency import Verdict, round_trip_check
-from dad.dac_ingest import lift, parse_dac
+from dad.compose import lower, parse_compose
+from dad.dac_ingest import emit_compose, lift, parse_dac
 from dad.errors import EmitError
-from dad.model import ArchModel, BuildRef, Edge, EdgeKind, NetworkNode, ServiceNode, VolumeNode, canonicalize
+from dad.model import (
+    ArchModel,
+    BuildRef,
+    Edge,
+    EdgeKind,
+    NetworkNode,
+    ServiceNode,
+    VolumeNode,
+    canonicalize,
+    model_equal,
+)
 
 from specgen import gen_model
 
@@ -226,6 +237,22 @@ class TestEmitDac:
         with pytest.raises(EmitError):
             emit_dot(cyclic)
 
+    def test_repeated_mount_is_refused_by_every_emitter(self):
+        data = Edge(EdgeKind.MOUNT, "web", "data", "/a")
+        model = ArchModel(
+            services=(ServiceNode("web", image="x"),), volumes=(VolumeNode("data"),), edges=(data, data)
+        )
+        message = "web mounts data:/a twice; a descriptor cannot hold it"
+        for emit in (emit_dac, emit_dot, emit_compose):
+            with pytest.raises(EmitError) as err:
+                emit(model)
+            assert str(err.value) == message, emit.__name__
+        # without a target the repeat reads back, so the script and DOT emitters take it
+        untargeted = Edge(EdgeKind.MOUNT, "web", "data")
+        model = model._replace(edges=(untargeted, untargeted))
+        assert lift(parse_dac(emit_dac(model).text)).edges == model.edges
+        assert "web -> data" in emit_dot(model)
+
     def test_title_with_quotes_is_escaped(self):
         text = emit_dac(ArchModel(title='a "b" c')).text
         assert text.splitlines()[0] == 'with DaC("a \\"b\\" c", direction="TB"):'
@@ -413,3 +440,59 @@ class TestIdentifierAssignment:
             assert t_large < 100 * t_small, (
                 f"{emit.__name__}: 200 names {t_small * 1e3:.1f} ms, 4000 names {t_large * 1e3:.1f} ms"
             )
+
+
+ADVERSARIAL_EDGES = ("mount twice", "mount at ''", "mount without target", "repeat dependency or link")
+
+
+def with_adversarial_edges(rng: random.Random, model: ArchModel, picks: list[str]) -> ArchModel:
+    """The model plus edges ``gen_model`` never writes, each inserted at a random place."""
+    volumes = model.volumes or (VolumeNode("spare"),)
+    edges = list(model.edges)
+    for pick in picks:
+        src, vol = rng.choice(model.services).name, rng.choice(volumes).name
+        if pick == "mount twice":
+            added = [Edge(EdgeKind.MOUNT, src, vol, rng.choice(["/a", ""]))] * 2
+        elif pick == "mount at ''":
+            added = [Edge(EdgeKind.MOUNT, src, vol, "")]
+        elif pick == "mount without target":
+            added = [Edge(EdgeKind.MOUNT, src, vol)]
+        else:
+            pairs = [e for e in edges if e.kind in (EdgeKind.DEPENDENCY, EdgeKind.LINK)]
+            added = [rng.choice(pairs)] if pairs else []
+        for edge in added:
+            edges.insert(rng.randint(0, len(edges)), edge)
+    return model._replace(volumes=volumes, edges=tuple(edges))
+
+
+def _emitted(emit, *args):
+    try:
+        return emit(*args)
+    except EmitError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.sampled_from(ADVERSARIAL_EDGES), max_size=3),
+)
+def test_every_model_an_emitter_accepts_reads_back(seed, picks):
+    rng = random.Random(seed)
+    model = with_adversarial_edges(rng, gen_model(rng), picks)
+    assert model.validate() is None
+
+    scripts = [_emitted(emit_dac, model, EmitOptions(direction=d)) for d in ("TB", "LR")]
+    dot = _emitted(emit_dot, model)
+    # the script and DOT emitters share one guard
+    assert {script is None for script in scripts} == {dot is None}
+    for script in scripts:
+        if script is not None:
+            assert model_equal(lift(parse_dac(script.text)), model)
+
+    descriptor = _emitted(emit_compose, model)
+    if descriptor is not None:
+        assert model_equal(lower(parse_compose(descriptor)), model)
+    # a descriptor needs every mount's target; apart from that, it takes what a script takes
+    untargeted = any(e.kind is EdgeKind.MOUNT and e.target is None for e in model.edges)
+    assert (descriptor is None) == (dot is None or untargeted)
