@@ -5,122 +5,49 @@ architecture graph, emit a diagram-as-code script or DOT. Inverse direction:
 parse a script, lift it back to the graph, emit descriptor text. Consistency
 between a descriptor and a diagram is canonical-model equality, which the
 round-trip checks verify end to end.
+
+Each public name, and each submodule, is imported on first access (PEP 562),
+so ``import dad`` alone loads no submodule and a command loads only the
+modules it runs: ``dad diff`` of two scripts never loads the descriptor layer.
 """
 
-from .compose import (
-    ComposeSpec,
-    MountRef,
-    ServiceEntry,
-    ValidationIssue,
-    issues_ok,
-    lower,
-    parse_compose,
-    serialize_compose,
-    validate,
-)
-from .consistency import (
-    ConsistencyReport,
-    DiffEntry,
-    DiffKind,
-    ReportStats,
-    Verdict,
-    check_diagram_against_descriptor,
-    compare_models,
-    diff_models,
-    render_report,
-    round_trip_check,
-)
-from .dac_emit import (
-    DEFAULT_ROLE_TABLE,
-    DacScript,
-    EmitOptions,
-    emit_dac,
-    emit_dot,
-    role_of,
-    sanitize_ident,
-)
-from .dac_ingest import DacAst, DacCluster, DacEdge, DacNode, emit_compose, lift, parse_dac
-from .errors import (
-    ComposeSyntaxError,
-    CycleError,
-    DacSyntaxError,
-    DadError,
-    DuplicateIdentError,
-    EmitError,
-    LiftError,
-    LoweringError,
-    ModelError,
-    SchemaError,
-    UndeclaredIdentError,
-)
-from .model import (
-    ArchModel,
-    BuildRef,
-    CanonicalForm,
-    Edge,
-    EdgeKind,
-    NetworkNode,
-    ServiceNode,
-    VolumeNode,
-    assert_acyclic,
-    canonicalize,
-    model_equal,
-)
+import importlib
 
-__all__ = [
-    "ArchModel",
-    "BuildRef",
-    "CanonicalForm",
-    "ComposeSpec",
-    "ComposeSyntaxError",
-    "ConsistencyReport",
-    "CycleError",
-    "DEFAULT_ROLE_TABLE",
-    "DacAst",
-    "DacCluster",
-    "DacEdge",
-    "DacNode",
-    "DacScript",
-    "DacSyntaxError",
-    "DadError",
-    "DiffEntry",
-    "DiffKind",
-    "DuplicateIdentError",
-    "Edge",
-    "EdgeKind",
-    "EmitError",
-    "EmitOptions",
-    "LiftError",
-    "LoweringError",
-    "ModelError",
-    "MountRef",
-    "NetworkNode",
-    "ReportStats",
-    "SchemaError",
-    "ServiceEntry",
-    "ServiceNode",
-    "UndeclaredIdentError",
-    "ValidationIssue",
-    "Verdict",
-    "VolumeNode",
-    "assert_acyclic",
-    "canonicalize",
-    "check_diagram_against_descriptor",
-    "compare_models",
-    "diff_models",
-    "emit_compose",
-    "emit_dac",
-    "emit_dot",
-    "issues_ok",
-    "lift",
-    "lower",
-    "model_equal",
-    "parse_compose",
-    "parse_dac",
-    "render_report",
-    "role_of",
-    "round_trip_check",
-    "sanitize_ident",
-    "serialize_compose",
-    "validate",
-]
+# defining module -> the public names it exports here
+_EXPORTS = {
+    "compose": (
+        "ComposeSpec MountRef ServiceEntry ValidationIssue issues_ok lower parse_compose "
+        "serialize_compose validate"
+    ),
+    "consistency": (
+        "ConsistencyReport DiffEntry DiffKind ReportStats Verdict check_diagram_against_descriptor "
+        "compare_models diff_models render_report round_trip_check"
+    ),
+    "dac_emit": "DEFAULT_ROLE_TABLE DacScript EmitOptions emit_dac emit_dot role_of sanitize_ident",
+    "dac_ingest": "DacAst DacCluster DacEdge DacNode emit_compose lift parse_dac",
+    "errors": (
+        "ComposeSyntaxError CycleError DacSyntaxError DadError DuplicateIdentError EmitError "
+        "LiftError LoweringError ModelError SchemaError UndeclaredIdentError"
+    ),
+    "model": (
+        "ArchModel BuildRef CanonicalForm Edge EdgeKind NetworkNode ServiceNode VolumeNode "
+        "assert_acyclic canonicalize model_equal"
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset({"cli", "yaml_io", *_EXPORTS})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # the value is not stored here, so a later rebinding in its module shows
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -7,9 +7,10 @@ Exit codes are a CI-friendly contract:
   3  I/O failure (unreadable input, unwritable output)
   4  internal error (an unexpected exception; the traceback goes to stderr)
 
-The environment variable DAD_ROLE_TABLE may point at a file with one
-``substring=role`` pair per line (blank lines and ``#`` comments ignored); it
-replaces the builtin image-to-role table used by --group-by-role.
+With --group-by-role, and only then, the environment variable DAD_ROLE_TABLE
+may point at a file with one ``substring=role`` pair per line (blank lines,
+``#`` comments and a leading byte order mark ignored); it replaces the builtin
+image-to-role table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import compose
 from .consistency import (
     Verdict,
     _clean,
@@ -111,7 +111,9 @@ def _load_role_table() -> tuple[tuple[str, str], ...]:
     if not path:
         return DEFAULT_ROLE_TABLE
     pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), 1):
+    # an editor may save the table with a byte order mark, which is not part of its first substring
+    text = _read_text(Path(path)).removeprefix("\ufeff")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,6 +158,8 @@ def _single_input(args, parser_hint: str) -> Path:
 
 def _descriptor_model(text: str, path: Path, strict: bool):
     """One descriptor through ``compose.load_model``, issues to stderr; returns (model, spec)."""
+    from . import compose
+
     try:
         model, spec, issues = compose.load_model(text, strict, fallback_title=path.stem)
     except LoweringError as exc:
@@ -168,7 +172,9 @@ def _descriptor_model(text: str, path: Path, strict: bool):
 def cmd_generate(args) -> int:
     path = _single_input(args, "generate")
     model, _ = _descriptor_model(_read_text(path), path, args.strict)
-    opts = EmitOptions(group_by_role=args.group_by_role, role_table=_load_role_table())
+    # the table only orders grouped services: a plain generate never reads it
+    table = _load_role_table() if args.group_by_role else DEFAULT_ROLE_TABLE
+    opts = EmitOptions(group_by_role=args.group_by_role, role_table=table)
     if args.format == "dot":
         _write_output(args.output, emit_dot(model, opts))
     else:
@@ -177,6 +183,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from . import compose
+
     path = _single_input(args, "invert")
     ast = parse_dac(_read_text(path), strict=args.strict)
     # lift has checked the model: emit_compose would only check it again

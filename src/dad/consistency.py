@@ -9,13 +9,16 @@ diagrams by design; it never sways a verdict and is surfaced as notes.
 from __future__ import annotations
 
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from . import compose
 from .dac_emit import emit_dac
 from .dac_ingest import lift, parse_dac
 from .errors import DadError
 from .model import ArchModel, CanonicalForm, edge_order, keyed, record
 from .model import canonicalize  # noqa: F401  (callers still read it from this module)
+
+if TYPE_CHECKING:
+    from .compose import ComposeSpec
 
 
 class Verdict(Enum):
@@ -175,7 +178,7 @@ def _stats(left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm) ->
     )
 
 
-def _residue_notes(spec: compose.ComposeSpec) -> tuple[str, ...]:
+def _residue_notes(spec: ComposeSpec) -> tuple[str, ...]:
     return tuple(f"residue excluded from diagram: {path}" for path in spec.residue_paths())
 
 
@@ -206,6 +209,8 @@ def round_trip_check(descriptor_text: str, strict: bool = False) -> ConsistencyR
     ``compose.load_model`` (YAML syntax, schema shapes, validation, dependency
     cycles) and of any later hop yield Invalid with the error; this never raises.
     """
+    from . import compose
+
     try:
         original, spec, _ = compose.load_model(descriptor_text, strict)
         script = emit_dac(original)
@@ -229,6 +234,8 @@ def check_diagram_against_descriptor(
     node only the diagram shows reports as ExtraNode. A failure of
     ``compose.load_model`` or ``lift``, a dependency cycle included, yields Invalid.
     """
+    from . import compose
+
     try:
         descriptor_model, spec, _ = compose.load_model(descriptor_text, strict)
         diagram_model = lift(parse_dac(dac_text, strict=strict))

@@ -37,7 +37,6 @@ from .model import (
     VolumeNode,
     record,
 )
-from . import compose
 
 # a quoted span never crosses a line end, so the body scan below stays per line
 _QUOTED = r'"([^"\\\n]*(?:\\.[^"\\\n]*)*)"'
@@ -356,4 +355,6 @@ def emit_compose(model: ArchModel) -> str:
     (EmitError), as is a model that fails the emitters' guard: one that fails
     ``ArchModel.validate`` or mounts a volume twice at one target.
     """
+    from . import compose
+
     return compose.serialize_compose(compose.unlower(_checked(model)))

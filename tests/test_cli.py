@@ -163,6 +163,29 @@ class TestRoleGrouping:
         )
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("table_text", [None, "justoneword\n"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize("fmt", ["dac", "dot"])
+    def test_plain_generate_never_reads_the_table(self, capsys, tmp_path, monkeypatch, table_text, fmt):
+        source = str(CORPUS / "wordpress.yml")
+        expected = run(capsys, "generate", "-i", source, "--format", fmt)
+        table = tmp_path / "roles.txt"
+        if table_text is not None:
+            table.write_text(table_text, encoding="utf-8")
+        monkeypatch.setenv("DAD_ROLE_TABLE", str(table))
+        assert run(capsys, "generate", "-i", source, "--format", fmt) == expected
+        assert expected[0] == EXIT_OK
+
+    def test_table_saved_with_a_byte_order_mark_keeps_its_first_entry(self, capsys, tmp_path, monkeypatch):
+        src = tmp_path / "stack.yml"
+        src.write_text("services:\n  app:\n    image: example/app\n  web:\n    image: nginx\n", encoding="utf-8")
+        table = tmp_path / "roles.txt"
+        table.write_text("nginx=database\n", encoding="utf-8-sig")
+        assert table.read_bytes().startswith(b"\xef\xbb\xbfnginx=")
+        monkeypatch.setenv("DAD_ROLE_TABLE", str(table))
+        code, out, err = run(capsys, "generate", "-i", str(src), "--group-by-role")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.index('Cluster("web service")') < out.index('Cluster("app service")')
+
 
 class TestInvert:
     def test_generated_script_inverts_to_equivalent_descriptor(self, capsys, tmp_path):
@@ -734,6 +757,7 @@ class TestColdProcess:
     """A CI gate starts dad as a fresh process and pays for every import."""
 
     def test_diff_of_two_scripts_imports_neither_yaml_nor_dataclasses(self, capsys, tmp_path):
+        # nor the descriptor layer: two scripts never need compose or yaml_io
         left, right = tmp_path / "a.dac", tmp_path / "b.dac"
         lamp = str(CORPUS / "lamp.yml")
         assert cli.main(["generate", "-i", lamp, "-o", str(left)]) == EXIT_OK
@@ -743,12 +767,27 @@ class TestColdProcess:
             "import sys\n"
             "from dad.cli import main\n"
             f"code = main(['diff', '-i', {str(left)!r}, '-i', {str(right)!r}])\n"
-            "loaded = [name for name in ('yaml', 'dataclasses') if name in sys.modules]\n"
+            "loaded = [name for name in ('yaml', 'dataclasses', 'dad.compose', 'dad.yaml_io') if name in sys.modules]\n"
             "sys.exit(f'imported {loaded}' if loaded else code)\n"
         )
         proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "verdict: Consistent" in proc.stdout
+
+    def test_import_dad_alone_loads_no_submodule(self):
+        program = "import sys, dad\nprint(sorted(name for name in sys.modules if name.startswith('dad.')))\n"
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, "[]\n"), proc.stderr
+
+    def test_submodules_resolve_in_a_fresh_process(self):
+        program = (
+            "import dad\n"
+            "print(dad.compose.__name__, dad.yaml_io.__name__, dad.cli.__name__)\n"
+            "print(dad.ComposeSpec is dad.compose.ComposeSpec)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "dad.compose dad.yaml_io dad.cli\nTrue\n"
 
     def test_check_of_a_descriptor_loads_yaml_on_demand(self):
         proc = subprocess.run(
