@@ -23,6 +23,7 @@ from pathlib import Path
 from .consistency import (
     Verdict,
     _clean,
+    _residue_notes,
     check_diagram_against_descriptor,
     compare_models,
     render_report,
@@ -33,7 +34,6 @@ from .dac_ingest import emit_compose, lift, parse_dac  # noqa: F401  (callers re
 from .errors import DadError, LoweringError
 
 _EXIT_BY_VERDICT = {Verdict.CONSISTENT: 0, Verdict.INCONSISTENT: 1, Verdict.INVALID: 2}
-_DAC_SUFFIXES = {".dac"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,11 +143,11 @@ def _write_output(output: Path | None, text: str) -> None:
 
 def _print_issues(issues) -> None:
     for issue in issues:
-        print(str(issue), file=sys.stderr)
+        print(_clean(str(issue)), file=sys.stderr)
 
 
 def _is_dac_path(path: Path) -> bool:
-    return path.suffix.lower() in _DAC_SUFFIXES
+    return path.suffix.lower() == ".dac"
 
 
 def _single_input(args, parser_hint: str) -> Path:
@@ -215,8 +215,8 @@ def cmd_check(args) -> int:
         report = round_trip_check(_read_text(path), strict=args.strict)
         rendered = render_report(report, args.report)
         if len(paths) > 1:
-            prefix = f"== {path}\n" if args.report == "text" else f"file\t{_clean(str(path))}\n"
-            rendered = prefix + rendered
+            name = _clean(str(path))
+            rendered = (f"== {name}\n" if args.report == "text" else f"file\t{name}\n") + rendered
         blocks.append(rendered)
         worst = max(worst, _EXIT_BY_VERDICT[report.verdict])
     _write_output(args.output, "".join(blocks))
@@ -229,7 +229,7 @@ def _side_model(path: Path, fmt: str | None, strict: bool):
     if fmt == "dac" or (fmt is None and _is_dac_path(path)):
         return lift(parse_dac(text, strict=strict)), ()
     model, spec = _descriptor_model(text, path, strict)
-    return model, tuple(f"{path}: {note}" for note in spec.residue_paths())
+    return model, _residue_notes(spec, prefix=f"{path}: ")
 
 
 def cmd_diff(args) -> int:
@@ -238,10 +238,7 @@ def cmd_diff(args) -> int:
     left_path, right_path = args.input
     left, left_notes = _side_model(left_path, args.left_format, args.strict)
     right, right_notes = _side_model(right_path, args.right_format, args.strict)
-    notes = tuple(
-        f"residue excluded from diagram: {note}" for note in left_notes + right_notes
-    )
-    report = compare_models(left, right, notes=notes)
+    report = compare_models(left, right, notes=left_notes + right_notes)
     _write_output(args.output, render_report(report, args.report))
     return _EXIT_BY_VERDICT[report.verdict]
 
@@ -255,15 +252,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DadError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {_clean(str(exc))}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_clean(str(exc))}", file=sys.stderr)
         return 3
     except Exception as exc:
         # a defect in dad, not a verdict: keep it apart from exit 1
         sys.excepthook(type(exc), exc, exc.__traceback__)
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: internal error: {type(exc).__name__}: {_clean(str(exc))}", file=sys.stderr)
         return 4
 
 

@@ -178,12 +178,9 @@ def _stats(left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm) ->
     )
 
 
-def _residue_notes(spec: ComposeSpec) -> tuple[str, ...]:
-    return tuple(f"residue excluded from diagram: {path}" for path in spec.residue_paths())
-
-
-def _verdict_for(entries: list[DiffEntry]) -> Verdict:
-    return Verdict.CONSISTENT if not entries else Verdict.INCONSISTENT
+def _residue_notes(spec: ComposeSpec, prefix: str = "") -> tuple[str, ...]:
+    """One note per residue path of ``spec``; ``prefix`` names the input it came from."""
+    return tuple(f"residue excluded from diagram: {prefix}{path}" for path in spec.residue_paths())
 
 
 def compare_models(
@@ -194,7 +191,7 @@ def compare_models(
     """Diff two already-built models and wrap the result in a report."""
     entries = diff_models(left, right)
     return ConsistencyReport(
-        verdict=_verdict_for(entries),
+        verdict=Verdict.INCONSISTENT if entries else Verdict.CONSISTENT,
         issues=tuple(entries),
         stats=_stats(left, right),
         notes=notes,
@@ -244,8 +241,8 @@ def check_diagram_against_descriptor(
     return compare_models(descriptor_model, diagram_model, notes=_residue_notes(spec))
 
 
-# The field separator and every character str.splitlines breaks at: a
-# machine report writes each as a space, so one issue stays one line.
+# The field separator and every character str.splitlines breaks at: both
+# reports and the CLI's stderr write each as a space, so one entry stays one line.
 _FIELD_BREAKS = str.maketrans(dict.fromkeys("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", " "))
 
 
@@ -296,11 +293,11 @@ def render_report(report: ConsistencyReport, fmt: str = "text") -> str:
             detail = ""
             if entry.kind is DiffKind.ATTRIBUTE_MISMATCH:
                 detail = f" (left: {entry.left!r}, right: {entry.right!r})"
-            elif entry.left is not None and entry.left:
+            elif entry.left:
                 detail = f" (left: {entry.left})"
-            elif entry.right is not None and entry.right:
+            elif entry.right:
                 detail = f" (right: {entry.right})"
             lines.append(f"  {entry.kind.value} {entry.subject}{detail}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"note: {note}" for note in report.notes)
+    # as in the machine report, a name or value holding a line break stays on its line
+    return "\n".join(map(_clean, lines)) + "\n"

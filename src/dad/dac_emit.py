@@ -26,7 +26,8 @@ from __future__ import annotations
 import re
 
 from .errors import EmitError, ModelError
-from .model import ArchModel, EdgeKind, NetworkNode, ServiceNode, VolumeNode, record
+from .model import _EDGE_DST, _NODE_NOUN, ArchModel, EdgeKind, NetworkNode, ServiceNode, VolumeNode
+from .model import record
 
 # First matching image substring wins; no match means role "service".
 DEFAULT_ROLE_TABLE: tuple[tuple[str, str], ...] = (
@@ -44,15 +45,6 @@ DEFAULT_ROLE_TABLE: tuple[tuple[str, str], ...] = (
 )
 
 _KIND_BY_NODE = {ServiceNode: "Server", VolumeNode: "Storage", NetworkNode: "Network"}
-_CLUSTER_SUFFIX = {ServiceNode: "service", VolumeNode: "volume", NetworkNode: "network"}
-# Node type of an edge's destination; sources are always services. Kinds keep
-# separate namespaces, so a service and a volume may share a name.
-_DST_TYPE = {
-    EdgeKind.DEPENDENCY: ServiceNode,
-    EdgeKind.LINK: ServiceNode,
-    EdgeKind.MOUNT: VolumeNode,
-    EdgeKind.ATTACHMENT: NetworkNode,
-}
 
 
 @record
@@ -230,7 +222,7 @@ def _layout(model: ArchModel, opts: EmitOptions) -> tuple[_Layout, _Idents]:
 
 
 def _endpoints(edge, idents: _Idents) -> tuple[str, str]:
-    return idents[ServiceNode, edge.src], idents[_DST_TYPE[edge.kind], edge.dst]
+    return idents[ServiceNode, edge.src], idents[_EDGE_DST[edge.kind], edge.dst]
 
 
 def _checked(model: ArchModel) -> ArchModel:
@@ -269,7 +261,7 @@ def emit_dac(model: ArchModel, opts: EmitOptions | None = None) -> DacScript:
         lines.append("  pass")
     for node, ident in layout:
         label = escape_quoted(node.name)
-        suffix = _CLUSTER_SUFFIX[type(node)]
+        suffix = _NODE_NOUN[type(node)]
         kind = _KIND_BY_NODE[type(node)]
         annot = _format_annotations(_node_annotations(node))
         lines.append(f'  with Cluster("{label} {suffix}"):')

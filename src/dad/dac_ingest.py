@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .dac_emit import _checked, decode_annot_value, unescape_quoted
+from .dac_emit import _KIND_BY_NODE, _checked, decode_annot_value, unescape_quoted
 from .errors import (
     DacSyntaxError,
     DuplicateIdentError,
@@ -225,7 +225,7 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
     return DacAst(title, direction, tuple(clusters), tuple(edges))
 
 
-_NODE_TYPE = {"Server": ServiceNode, "Storage": VolumeNode, "Network": NetworkNode}
+_NODE_TYPE = {kind: node_type for node_type, kind in _KIND_BY_NODE.items()}
 
 
 def _lift_node(kind: str, label: str, annotations: Annotations, line: int):

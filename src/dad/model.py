@@ -85,16 +85,6 @@ class EdgeKind(Enum):
     __hash__ = object.__hash__
 
 
-# Endpoint typing: (source kind, destination kind) per edge kind. Sources are
-# always services; only the destination varies.
-_EDGE_DST = {
-    EdgeKind.DEPENDENCY: "service",
-    EdgeKind.LINK: "service",
-    EdgeKind.MOUNT: "volume",
-    EdgeKind.ATTACHMENT: "network",
-}
-
-
 @record
 class BuildRef:
     """Image build source: a context directory and an optional dockerfile."""
@@ -122,6 +112,18 @@ class VolumeNode:
 class NetworkNode:
     name: str
     phantom: bool = False
+
+
+# Endpoint typing: the node class of an edge's destination, per edge kind.
+# Sources are always services. Kinds keep separate namespaces, so a service
+# and a volume may share a name.
+_EDGE_DST = {
+    EdgeKind.DEPENDENCY: ServiceNode,
+    EdgeKind.LINK: ServiceNode,
+    EdgeKind.MOUNT: VolumeNode,
+    EdgeKind.ATTACHMENT: NetworkNode,
+}
+_NODE_NOUN = {ServiceNode: "service", VolumeNode: "volume", NetworkNode: "network"}
 
 
 @record
@@ -162,15 +164,13 @@ class ArchModel:
 
     def validate(self) -> None:
         """Check every structural invariant; raise ModelError/CycleError on the first hit."""
-        service_names = _unique_names("service", self.services)
-        volume_names = _unique_names("volume", self.volumes)
-        network_names = _unique_names("network", self.networks)
-        names_of = {
-            EdgeKind.DEPENDENCY: service_names,
-            EdgeKind.LINK: service_names,
-            EdgeKind.MOUNT: volume_names,
-            EdgeKind.ATTACHMENT: network_names,
+        nodes_of = {ServiceNode: self.services, VolumeNode: self.volumes, NetworkNode: self.networks}
+        names_of_type = {
+            node_type: _unique_names(_NODE_NOUN[node_type], nodes)
+            for node_type, nodes in nodes_of.items()
         }
+        service_names = names_of_type[ServiceNode]
+        names_of = {kind: names_of_type[node_type] for kind, node_type in _EDGE_DST.items()}
         mount = EdgeKind.MOUNT  # bound once, not read off the Enum class per edge
 
         for name, image, build, _, _ in self.services:
@@ -181,9 +181,8 @@ class ArchModel:
             if src not in service_names:
                 raise ModelError(f"{kind.value} edge source {src!r} is not a declared service")
             if dst not in names_of[kind]:
-                raise ModelError(
-                    f"{kind.value} edge destination {dst!r} is not a declared {_EDGE_DST[kind]}"
-                )
+                noun = _NODE_NOUN[_EDGE_DST[kind]]
+                raise ModelError(f"{kind.value} edge destination {dst!r} is not a declared {noun}")
             if target is not None and kind is not mount:
                 raise ModelError(f"target annotation is only valid on mount edges, not {kind.value}")
 

@@ -6,8 +6,10 @@ line by line in one pass, with no parser events. It declines every other
 document and every malformed one, and those go to the event path: a document
 built straight from the parser's events, with none of PyYAML's composer or
 constructor, by libyaml's parser when PyYAML was built with it and by
-PyYAML's pure-Python parser otherwise. Both paths give equal values, and
-every syntax error, with its line and column, comes from the event path.
+PyYAML's pure-Python parser otherwise. Both paths type scalars through one
+resolver and one constructor (``_resolve``, ``_CONSTRUCTOR``), so they give
+equal values; every syntax error, with its line and column, comes from the
+event path.
 ``dump`` writes a document of dicts, lists, strings, ints, floats, bools and
 None as text in one pass, and hands any other document to ``yaml.dump`` with
 dad's dumper; the bytes are the same either way. ``dad.compose`` imports this
@@ -35,24 +37,21 @@ from yaml.resolver import Resolver
 from .errors import ComposeSyntaxError
 
 if yaml.__with_libyaml__:
-    from yaml._yaml import CParser
-
-    class _LoaderBase(CParser, SafeConstructor, Resolver):
-        """libyaml's event parser with PyYAML's scalar constructors and resolver."""
-
-        def __init__(self, stream):
-            CParser.__init__(self, stream)
-            SafeConstructor.__init__(self)
-            Resolver.__init__(self)
+    from yaml._yaml import CParser as _Parser
 
     _DumperBase = yaml.CSafeDumper
 else:
-    _LoaderBase = yaml.SafeLoader
+    # only its Reader, Scanner and Parser are used; the Reader refuses
+    # non-printable text when the parser is made
+    _Parser = yaml.SafeLoader
     _DumperBase = yaml.SafeDumper
 
 
+# The tags and values of scalars, on both read paths: the resolver gives a
+# plain scalar's tag from its text, and the constructor of that tag its value.
 _PLAIN = (True, False)  # resolve() reads the text as a plain scalar
 _resolve = Resolver().resolve
+_CONSTRUCTOR = SafeConstructor()
 # The first characters that have implicit resolvers. Resolver has no wildcard
 # resolver, so a text that starts with any other character reads as a string.
 _RESOLVED_FIRSTS = frozenset(Resolver.yaml_implicit_resolvers)
@@ -63,14 +62,6 @@ _RESOLVED_FIRSTS = frozenset(Resolver.yaml_implicit_resolvers)
 _PRINTABLE = "\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd"
 _WIDE = re.compile(f"[{_PRINTABLE}]*")
 _LINES = re.compile(f"[\n{_PRINTABLE}]*")
-
-
-class _UniqueKeyLoader(_LoaderBase):
-    """Event source of ``load``; ``_build`` makes the objects itself.
-
-    Only its parser, its resolver (tags of plain scalars) and its scalar
-    constructors are used; PyYAML's composer and collection constructors are not.
-    """
 
 
 # Collections open at once. The limit keeps deep input from exhausting the
@@ -176,14 +167,14 @@ def _open(event, parent: _Open | None) -> _Open:
     raise _syntax_error(f"could not determine a constructor for the tag {tag!r} on a {kind}", mark)
 
 
-def _construct_scalar(loader: _UniqueKeyLoader, tag: str, event):
+def _construct_scalar(tag: str, event):
     if tag in _COLLECTION_KINDS:
         kind = _COLLECTION_KINDS[tag]
         raise _syntax_error(f"expected a {kind} node, but found scalar", event.start_mark)
     construct = SafeConstructor.yaml_constructors.get(tag, SafeConstructor.construct_undefined)
     node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, style=event.style)
     try:
-        return construct(loader, node)
+        return construct(_CONSTRUCTOR, node)
     except yaml.YAMLError:
         raise
     except Exception as exc:  # e.g. int("abc") for !!int 'abc': the input is at fault
@@ -233,14 +224,14 @@ def _refuse_cycle(stack: list[_Open], target: _Open, merging: bool) -> None:
             return
 
 
-def _build(loader: _UniqueKeyLoader):
+def _build(parser):
     """Build the stream's one document from its events on an explicit stack.
 
     Mapping keys must be hashable and unique; aliases return the anchored
     object itself. Nothing recurses, and more than ``_MAX_DEPTH`` open
     collections raise ``ComposeSyntaxError("nesting too deep")``.
     """
-    get_event, resolve = loader.get_event, loader.resolve
+    get_event, resolve = parser.get_event, _resolve
     get_event()  # StreamStartEvent
     if get_event().__class__ is StreamEndEvent:  # else it was the DocumentStartEvent
         return None
@@ -268,7 +259,7 @@ def _build(loader: _UniqueKeyLoader):
                 if tag == _MERGE_TAG and top is not None and top.key is _KEY:
                     top.key = _MERGE
                     continue
-                value = _construct_scalar(loader, tag, event)
+                value = _construct_scalar(tag, event)
             if anchor is not None:
                 anchors[anchor] = (value, mark, None)
         elif cls is MappingEndEvent or cls is SequenceEndEvent:
@@ -338,7 +329,6 @@ _SIMPLE_KEY = 1024
 # object may stand for every occurrence of a scalar text.
 _UNANCHORED = frozenset((str, int, float, bool, type(None)))
 _NOTHING = object()  # no value: a text _read leaves to the event path, or no key waiting
-_CONSTRUCTOR = SafeConstructor()
 
 
 def _scalar_value(token: str):
@@ -596,19 +586,19 @@ def load(text: str):
 
 def _load_events(text: str):
     """``load`` on the event path: the documents ``_read`` declines, and every syntax error."""
-    loader = None
+    parser = None
     try:
-        loader = _UniqueKeyLoader(text)  # the pure-Python reader refuses non-printable text here
-        return _build(loader)
+        parser = _Parser(text)  # the pure-Python reader refuses non-printable text here
+        return _build(parser)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "invalid YAML"
         if mark is not None:
-            raise ComposeSyntaxError(problem, mark.line + 1, mark.column + 1) from exc
+            raise _syntax_error(problem, mark) from exc
         raise ComposeSyntaxError(problem) from exc
     finally:
-        if loader is not None:
-            loader.dispose()
+        if parser is not None:
+            parser.dispose()
 
 
 class _ComposeDumper(_DumperBase):

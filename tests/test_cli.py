@@ -9,9 +9,11 @@ ends by its exit code and not by a signal or a traceback, and
 its output bytes do not depend on the hash seed.
 """
 
+import collections
 import contextlib
 import io
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -24,10 +26,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dad import cli
-from dad.compose import lower, parse_compose, serialize_compose, unlower
+from dad import cli, yaml_io
+from dad.compose import load_model, lower, parse_compose, serialize_compose, unlower
 from dad.consistency import Verdict, check_diagram_against_descriptor, round_trip_check
 from dad.dac_emit import emit_dac
+from dad.errors import DadError
 from dad.model import ArchModel, Edge, EdgeKind, model_equal
 
 from specgen import gen_model, perfbench_gen
@@ -851,3 +854,225 @@ def test_machine_report_keeps_a_line_breaking_name_on_one_line(capsys, tmp_path,
     assert f"file\t{tmp_path / 'a b.yml'}" in lines
     assert f"file\t{CORPUS / 'elk.yml'}" in lines
     assert sum(line.startswith("verdict\t") for line in lines) == 2
+
+
+@pytest.mark.parametrize("char", ["\n", "\t", "\u2028"], ids=["LF", "TAB", "LS"])
+def test_text_report_and_stderr_keep_a_line_breaking_name_on_one_line(capsys, tmp_path, char):
+    name, flat = f"a{char}b", "a b"
+    # a JSON string is a YAML double-quoted scalar, with the character escaped
+    dangling = tmp_path / "dangling.yml"
+    dangling.write_text(
+        f"services: {{{json.dumps(name)}: {{image: x, depends_on: [ghost]}}}}\n", encoding="utf-8"
+    )
+    issue = f"DanglingReference(services.{flat}.depends_on -> ghost): references undeclared service 'ghost'"
+    code, out, err = run(capsys, "generate", "-i", str(dangling), "--strict")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.splitlines() == [f"error: {issue}", f"error: LoweringError: {issue}"]
+    code, out, err = run(capsys, "check", "-i", str(dangling), "--strict")
+    assert code == EXIT_INVALID
+    assert out.splitlines() == ["verdict: Invalid", f"error: {issue}"]
+
+    # subjects, details and notes of the text report, and a batch header
+    left, right = tmp_path / "left.yml", tmp_path / f"right{char}.yml"
+    left.write_text("services:\n  web:\n    image: nginx\n", encoding="utf-8")
+    right.write_text(
+        f"services:\n  web:\n    image: nginx\n  {json.dumps(name)}:\n    image: {json.dumps(name)}\n"
+        f"{json.dumps(name)}: 1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "diff", "-i", str(left), "-i", str(right))
+    assert code == EXIT_INCONSISTENT, err
+    assert out.splitlines() == [
+        "verdict: Inconsistent",
+        "compared: left 1 nodes / 0 edges, right 2 nodes / 0 edges",
+        "issues (1):",
+        f"  ExtraNode services.{flat} (right: image={flat})",
+        f"note: residue excluded from diagram: {tmp_path / 'right '}.yml: {flat}",
+    ]
+    code, out, err = run(capsys, "check", "-i", str(left), "-i", str(right))
+    assert code == EXIT_OK, err
+    assert f"== {tmp_path / 'right '}.yml" in out.splitlines()
+    assert f"note: residue excluded from diagram: {flat}" in out.splitlines()
+
+
+# Every residue path `dad check` notes for the corpus, in the order it prints
+# them, with why the diagram leaves the value out: configuration, part of the
+# architecture the diagram does not draw yet, or the title (a top-level name,
+# which the diagram does draw as its title, yet is listed as residue).
+CONFIGURATION, UNDRAWN, TITLE = "configuration", "architecture not drawn yet", "title"
+RESIDUE_CENSUS = [
+    ("dblog.yml", "name", TITLE),
+    ("django_stack.yml", "version", CONFIGURATION),
+    ("django_stack.yml", "services.web.command", CONFIGURATION),
+    ("django_stack.yml", "services.web.ports", UNDRAWN),
+    ("django_stack.yml", "services.web.environment", CONFIGURATION),
+    ("django_stack.yml", "services.worker.command", CONFIGURATION),
+    ("django_stack.yml", "services.postgres.environment", CONFIGURATION),
+    ("elk.yml", "services.elasticsearch.environment", CONFIGURATION),
+    ("elk.yml", "services.logstash.ports", UNDRAWN),
+    ("elk.yml", "services.kibana.ports", UNDRAWN),
+    ("flask_nginx.yml", "services.nginx.ports", UNDRAWN),
+    ("flask_nginx.yml", "services.api.environment", CONFIGURATION),
+    ("flask_nginx.yml", "services.db.environment", CONFIGURATION),
+    ("kafka_stack.yml", "services.zookeeper.environment", CONFIGURATION),
+    ("kafka_stack.yml", "services.kafka.environment", CONFIGURATION),
+    ("kafka_stack.yml", "services.schema_registry.ports", UNDRAWN),
+    ("lamp.yml", "services.apache.ports", UNDRAWN),
+    ("lamp.yml", "services.php.links.0", UNDRAWN),
+    ("lamp.yml", "services.mysql.environment", CONFIGURATION),
+    ("lamp.yml", "services.phpmyadmin.ports", UNDRAWN),
+    ("monitoring.yml", "services.prometheus.ports", UNDRAWN),
+    ("monitoring.yml", "services.grafana.ports", UNDRAWN),
+    ("monitoring.yml", "services.grafana.environment", CONFIGURATION),
+    ("monitoring.yml", "services.alertmanager.ports", UNDRAWN),
+    ("node_mongo.yml", "version", CONFIGURATION),
+    ("node_mongo.yml", "services.web.ports", UNDRAWN),
+    ("node_mongo.yml", "services.web.environment", CONFIGURATION),
+    ("node_mongo.yml", "services.web.restart", CONFIGURATION),
+    ("node_mongo.yml", "services.mongo_express.ports", UNDRAWN),
+    ("node_mongo.yml", "networks.appnet.driver", UNDRAWN),
+    ("proxy_stack.yml", "name", TITLE),
+    ("proxy_stack.yml", "services.traefik.ports", UNDRAWN),
+    ("rails_stack.yml", "services.app.ports", UNDRAWN),
+    ("rails_stack.yml", "services.app.environment", CONFIGURATION),
+    ("rails_stack.yml", "services.sidekiq.command", CONFIGURATION),
+    ("rails_stack.yml", "services.postgres.environment", CONFIGURATION),
+    ("rails_stack.yml", "networks.backend.internal", UNDRAWN),
+    ("wordpress.yml", "version", CONFIGURATION),
+    ("wordpress.yml", "services.wordpress.ports", UNDRAWN),
+    ("wordpress.yml", "services.wordpress.environment", CONFIGURATION),
+    ("wordpress.yml", "services.db.environment", CONFIGURATION),
+]
+
+
+def test_residue_census_of_the_corpus(capsys):
+    noted = []
+    for path in sorted(CORPUS.glob("*.yml")):
+        code, out, err = run(capsys, "check", "-i", str(path), "--report", "machine")
+        assert code in (EXIT_OK, EXIT_INVALID), err  # cyclic.yml is Invalid and has no notes
+        prefix = "note\tresidue excluded from diagram: "
+        noted += [(path.name, line[len(prefix) :]) for line in out.splitlines() if line.startswith("note\t")]
+    # a path missing from the table is one nobody has classified yet
+    assert noted == [(name, residue) for name, residue, _ in RESIDUE_CENSUS]
+    by_field = collections.Counter((kind, residue.split(".")[-1]) for _, residue, kind in RESIDUE_CENSUS)
+    assert by_field == {
+        (CONFIGURATION, "environment"): 14,
+        (CONFIGURATION, "command"): 3,
+        (CONFIGURATION, "version"): 3,
+        (CONFIGURATION, "restart"): 1,
+        (UNDRAWN, "ports"): 15,
+        (UNDRAWN, "0"): 1,  # the link alias mysql:db
+        (UNDRAWN, "driver"): 1,
+        (UNDRAWN, "internal"): 1,
+        (TITLE, "name"): 2,
+    }
+
+
+# Descriptor text drawn to trip the YAML readers and the checks behind them:
+# YAML indicators, quotes, "#", ":", "=", ",", "%" and "\" in names and values,
+# plain texts that read as other types or as merge and value keys, non-ASCII
+# text, U+0085 and the empty text. A document is nested dicts and lists whose
+# leaves, keys included, are (text, style) scalars.
+ADVERSARIAL_ALPHABET = "ab1 -?:,[]{}#&*!|>'\"%@`=\\/.é字\x85"
+LOOKALIKES = ["true", "null", "~", "0x1F", "2001-12-14", "1.5", "<<", "=", "", "yes", "-", "a: b", "x #y"]
+adversarial_text = st.sampled_from(LOOKALIKES) | st.text(ADVERSARIAL_ALPHABET, max_size=6)
+# quoted four times in five, so about half the drawn documents parse
+adversarial_scalar = st.tuples(adversarial_text, st.sampled_from(["double", "single", "double", "single", "plain"]))
+
+
+def plain(text: str) -> tuple[str, str]:
+    return (text, "plain")
+
+
+@st.composite
+def adversarial_documents(draw) -> dict:
+    names = draw(st.lists(adversarial_scalar, min_size=1, max_size=3))
+    services = {}
+    for name in names:
+        body = {plain("image"): draw(adversarial_scalar)}
+        if draw(st.booleans()):  # mostly the other services, so many dependencies are valid
+            body[plain("depends_on")] = draw(st.lists(st.sampled_from(names) | adversarial_scalar, max_size=2))
+        if draw(st.booleans()):
+            body[plain("volumes")] = [(f"data:/{draw(adversarial_text)}", draw(st.sampled_from(["single", "double"])))]
+        if draw(st.booleans()):
+            body[plain("environment")] = draw(st.dictionaries(adversarial_scalar, adversarial_scalar, max_size=2))
+        if draw(st.booleans()):
+            body[plain("ports")] = draw(st.lists(adversarial_scalar, max_size=2))
+        services[name] = body
+    doc = {plain("services"): services, plain("volumes"): {plain("data"): {}}}
+    if draw(st.booleans()):
+        doc[draw(adversarial_scalar)] = draw(adversarial_scalar)
+    return doc
+
+
+def write_scalar(scalar: tuple[str, str]) -> str:
+    text, style = scalar
+    if style == "single":
+        return "'" + text.replace("'", "''") + "'"
+    if style == "double":  # a JSON string is a YAML double-quoted scalar
+        return json.dumps(text, ensure_ascii=False)
+    return text
+
+
+def write_block(mapping: dict, indent: str = "") -> str:
+    lines = []
+    for key, value in mapping.items():
+        head = f"{indent}{write_scalar(key)}:"
+        if isinstance(value, tuple):
+            lines.append(f"{head} {write_scalar(value)}\n")
+        elif not value:
+            lines.append(f"{head} {{}}\n" if isinstance(value, dict) else f"{head} []\n")
+        elif isinstance(value, dict):
+            lines.append(f"{head}\n{write_block(value, indent + '  ')}")
+        else:
+            lines.append(head + "\n" + "".join(f"{indent}  - {write_scalar(item)}\n" for item in value))
+    return "".join(lines)
+
+
+def write_flow(value) -> str:
+    if isinstance(value, tuple):
+        return write_scalar(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{write_flow(key)}: {write_flow(item)}" for key, item in value.items()) + "}"
+    return "[" + ", ".join(write_flow(item) for item in value) + "]"
+
+
+def quiet_main(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(doc=adversarial_documents())
+def test_adversarial_descriptor_text(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        # block style takes the one-pass reader where it can, flow style the event path
+        for style, text in (("block", write_block(doc)), ("flow", write_flow(doc) + "\n")):
+            # both read paths type every scalar alike
+            read = yaml_io._read(text)
+            if read is not None:
+                assert repr(yaml_io._load_events(text)) == repr(read), text
+            path = Path(tmp, f"{style}.yml")
+            path.write_text(text, encoding="utf-8")
+            code, _ = quiet_main("check", "-i", str(path))
+            assert code in (EXIT_OK, EXIT_INVALID), text
+            code, _ = quiet_main("generate", "-i", str(path))
+            assert code in (EXIT_OK, EXIT_INVALID), text
+            try:
+                load_model(text, strict=True)
+            except DadError:
+                pass
+            else:  # strict-valid: the strict round trip is Consistent
+                code, out = quiet_main("check", "-i", str(path), "--strict", "--report", "machine")
+                assert (code, out.splitlines()[0]) == (EXIT_OK, "verdict\tConsistent"), text
+            try:
+                spec = parse_compose(text)
+            except DadError:
+                continue
+            written = serialize_compose(spec)
+            again = parse_compose(written)
+            assert again == spec, text
+            assert serialize_compose(again) == written, text

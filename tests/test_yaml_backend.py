@@ -35,16 +35,16 @@ gen = perfbench_gen()
 
 
 def test_backend_follows_libyaml_availability():
-    loader, dumper = yaml_io._UniqueKeyLoader, yaml_io._ComposeDumper
+    parser, dumper = yaml_io._Parser, yaml_io._ComposeDumper
     if yaml.__with_libyaml__:
         from yaml._yaml import CParser
 
-        assert issubclass(loader, CParser)
+        assert issubclass(parser, CParser)
         assert issubclass(dumper, yaml.CSafeDumper)
     with python_backend():
-        assert issubclass(yaml_io._UniqueKeyLoader, yaml.SafeLoader)
+        assert issubclass(yaml_io._Parser, yaml.SafeLoader)
         assert issubclass(yaml_io._ComposeDumper, yaml.SafeDumper)
-    assert yaml_io._UniqueKeyLoader is loader and yaml_io._ComposeDumper is dumper
+    assert yaml_io._Parser is parser and yaml_io._ComposeDumper is dumper
 
 
 def descriptor_texts() -> list[str]:
@@ -465,13 +465,13 @@ def test_plain_scalars_resolve_apart_from_quoted_ones(yaml_backend):
 
 def test_plain_scalar_tags_are_cached_per_load(yaml_backend, monkeypatch):
     resolved = []
-    resolve = yaml_io._UniqueKeyLoader.resolve
+    resolve = yaml_io._resolve
 
-    def counting(self, kind, value, implicit):
+    def counting(kind, value, implicit):
         resolved.append((value, implicit[0]))
-        return resolve(self, kind, value, implicit)
+        return resolve(kind, value, implicit)
 
-    monkeypatch.setattr(yaml_io._UniqueKeyLoader, "resolve", counting)
+    monkeypatch.setattr(yaml_io, "_resolve", counting)
     text = "a: [x, x, 1, 1, 'x', 'x', ~, ~]\nx: 1\n"
     first = compose._load_yaml(text)
     calls = list(resolved)
