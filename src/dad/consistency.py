@@ -89,18 +89,15 @@ def _diff_named_section(
     right: dict[str, tuple[tuple[str, str], ...]],
     entries: list[DiffEntry],
 ) -> None:
-    # only the names whose attribute pairs differ; diff_models sorts the entries
-    for name in {name for name, _ in left.items() ^ right.items()}:
-        if name not in right:
-            entries.append(
-                DiffEntry(DiffKind.MISSING_NODE, f"{section}.{name}", left=_render_attrs(left[name]))
-            )
-        elif name not in left:
-            entries.append(
-                DiffEntry(DiffKind.EXTRA_NODE, f"{section}.{name}", right=_render_attrs(right[name]))
-            )
-        else:
-            left_attrs, right_attrs = dict(left[name]), dict(right[name])
+    # only the names whose attribute pairs differ, found by lookups;
+    # diff_models sorts the entries
+    for name, left_pairs in left.items():
+        right_pairs = right.get(name)
+        if right_pairs is None:
+            subject = f"{section}.{name}"
+            entries.append(DiffEntry(DiffKind.MISSING_NODE, subject, _render_attrs(left_pairs)))
+        elif right_pairs != left_pairs:
+            left_attrs, right_attrs = dict(left_pairs), dict(right_pairs)
             for key in left_attrs.keys() | right_attrs.keys():
                 # an attribute set to "" differs from one that is absent
                 lv, rv = left_attrs.get(key), right_attrs.get(key)
@@ -109,10 +106,14 @@ def _diff_named_section(
                         DiffEntry(
                             DiffKind.ATTRIBUTE_MISMATCH,
                             f"{section}.{name}.{key}",
-                            left="" if lv is None else lv,
-                            right="" if rv is None else rv,
+                            "" if lv is None else lv,
+                            "" if rv is None else rv,
                         )
                     )
+    for name, right_pairs in right.items():
+        if name not in left:
+            subject = f"{section}.{name}"
+            entries.append(DiffEntry(DiffKind.EXTRA_NODE, subject, None, _render_attrs(right_pairs)))
 
 
 def diff_models(
@@ -124,8 +125,8 @@ def diff_models(
     edges by (kind, src, dst) with exact matches consumed first; a paired
     mount whose targets disagree is one AttributeMismatch rather than a
     missing/extra pair. Each side is keyed once (``keyed``), the keyed forms
-    are compared with set operations, and only the differences are sorted, so
-    the cost is linear in the models plus a sort of what differs.
+    are compared by lookups, and only the differences are sorted, so the cost
+    is linear in the models plus a sort of what differs.
     """
     lk, rk = keyed(left), keyed(right)
     entries: list[DiffEntry] = []
@@ -141,28 +142,35 @@ def diff_models(
     # leftover edges: the keys whose counts differ, sorted, grouped by
     # (kind, src, dst) into sorted (left, right) targets; no target prints as ''
     left_edges, right_edges = lk.edges, rk.edges
+    # dict.get, not Counter's __missing__, reads an absent key as 0
+    left_count, right_count = left_edges.get, right_edges.get
+    changed = [key for key, count in left_edges.items() if right_count(key) != count]
+    changed += [key for key in right_edges if key not in left_edges]
     groups: dict[tuple[str, str, str], tuple[list[str], list[str]]] = {}
-    for key in sorted({key for key, _ in left_edges.items() ^ right_edges.items()}, key=edge_order):
+    for key in sorted(changed, key=edge_order):
         kind, src, dst, target = key
         if target is None:
             target = ""
-        surplus = left_edges[key] - right_edges[key]
+        surplus = left_count(key, 0) - right_count(key, 0)
         l_targets, r_targets = groups.setdefault((kind, src, dst), ([], []))
         if surplus > 0:
             l_targets.extend([target] * surplus)
         else:
             r_targets.extend([target] * -surplus)
+    mismatch, missing, extra = (
+        DiffKind.ATTRIBUTE_MISMATCH,
+        DiffKind.MISSING_EDGE,
+        DiffKind.EXTRA_EDGE,
+    )
     for (kind, src, dst), (l_targets, r_targets) in groups.items():
         subject = f"edges.{kind}.{src}->{dst}"
         paired = min(len(l_targets), len(r_targets))
         for lv, rv in zip(l_targets[:paired], r_targets[:paired]):
-            entries.append(
-                DiffEntry(DiffKind.ATTRIBUTE_MISMATCH, f"{subject}.target", left=lv, right=rv)
-            )
+            entries.append(DiffEntry(mismatch, f"{subject}.target", lv, rv))
         for lv in l_targets[paired:]:
-            entries.append(DiffEntry(DiffKind.MISSING_EDGE, subject, left=lv))
+            entries.append(DiffEntry(missing, subject, lv))
         for rv in r_targets[paired:]:
-            entries.append(DiffEntry(DiffKind.EXTRA_EDGE, subject, right=rv))
+            entries.append(DiffEntry(extra, subject, None, rv))
 
     entries.sort(key=lambda e: (_KIND_ORDER[e.kind], e.subject))
     return entries

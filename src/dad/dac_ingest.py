@@ -8,12 +8,15 @@ exactly the retained subset. It is ``serialize_compose(unlower(model))`` from
 Columns are fixed by the indentation grammar (clusters and edges start at
 column 3, nodes at column 5), so elements track their line number only.
 
-The reader is a single pass. parse_dac checks the header, then one scan of
-one line pattern over the body gives a match per line, back to back: the
-fields of a node, an edge or a cluster line, or else the whole line, which
-is "  pass" or is handed to _diagnose for the error. Quoted spans never
-cross a line end, so a match never does either, and a line's number is its
-match's place. lift then visits each node and edge once.
+The reader is a single pass. parse_dac checks the header, then scans the
+body with one line pattern, one match at a time: a match per line, back to
+back, holding the fields of a node, an edge or a cluster line, or else the
+whole line, which is "  pass" or is handed to _diagnose for the error.
+Quoted spans never cross a line end, so a match never does either, and a
+line's number is its match's place. The pattern reads a mount's lone target
+itself; other annotations are split by _parse_annotations, each distinct
+node annotation text once per script. lift then visits each node and edge
+once.
 """
 
 from __future__ import annotations
@@ -41,14 +44,17 @@ from .model import (
 # a quoted span never crosses a line end, so the body scan below stays per line
 _QUOTED = r'"([^"\\\n]*(?:\\.[^"\\\n]*)*)"'
 _IDENT = r"([a-z_][a-z0-9_]*)"
-_ANNOT = r"(  # .*)?"  # "" when absent; the text after "  # " may itself be empty
+_ANNOT = r"(  # .*)?"  # None when absent; the text after "  # " may itself be empty
 _HEADER_RE = re.compile(rf"with DaC\({_QUOTED}, direction=\"(TB|LR)\"\):")
 # One body line per match, matches back to back from the line after the
 # header: a node, an edge or a cluster line, or else the whole line with its
-# newline in the last group ("  pass", or a line _diagnose explains).
+# newline in the last group ("  pass", or a line _diagnose explains). An
+# edge's annotation that is one target with no "%" or "," in its value, the
+# common mount, is read here as that value; every other annotation is left
+# to _parse_annotations.
 _LINE_RE = re.compile(
     rf"    {_IDENT} = (Server|Storage|Network)\({_QUOTED}\){_ANNOT}\n"
-    rf"|  {_IDENT} (>>|-) {_IDENT}{_ANNOT}\n"
+    rf"|  {_IDENT} (>>|-) {_IDENT}(?:  # target=([^,%\n]*)|{_ANNOT})\n"
     rf"|  with Cluster\({_QUOTED}\):\n"
     r"|(.*\n)"
 )
@@ -176,12 +182,14 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
     clusters: list[DacCluster] = []
     edges: list[DacEdge] = []
     declared: dict[str, DacNode] = {}
+    # a node annotation text -> its pairs; scripts repeat most of them
+    node_annots: dict[str, Annotations] = {}
     # the open cluster; nodes is None while no cluster is open
     cluster_name, cluster_line, nodes = "", 0, None
     saw_pass = False
-    for lineno, (ident, kind, label, annot, src, op, dst, edge_annot, name, other) in enumerate(
-        _LINE_RE.findall(text, body), 2
-    ):
+    # a match's groups are None where they did not take part
+    for lineno, match in enumerate(_LINE_RE.finditer(text, body), 2):
+        ident, kind, label, annot, src, op, dst, target, edge_annot, name, other = match.groups()
         if saw_pass:
             raise DacSyntaxError("content after pass", lineno, expected="end of script")
         if kind:
@@ -191,7 +199,12 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
                 )
             if ident in declared:
                 raise DuplicateIdentError(ident, lineno)
-            pairs = _parse_annotations(annot[4:], lineno) if annot else ()
+            if annot:
+                pairs = node_annots.get(annot)
+                if pairs is None:
+                    pairs = node_annots[annot] = _parse_annotations(annot[4:], lineno)
+            else:
+                pairs = ()
             node = declared[ident] = DacNode(ident, kind, unescape_quoted(label), pairs, lineno)
             nodes.append(node)
         elif op:
@@ -203,7 +216,12 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
                     raise UndeclaredIdentError(src, lineno)
                 if dst not in declared:
                     raise UndeclaredIdentError(dst, lineno)
-            pairs = _parse_annotations(edge_annot[4:], lineno) if edge_annot else ()
+            if target is not None:
+                pairs = (("target", target),)
+            elif edge_annot:
+                pairs = _parse_annotations(edge_annot[4:], lineno)
+            else:
+                pairs = ()
             edges.append(DacEdge(op, src, dst, pairs, lineno))
         elif not other:
             if nodes is not None:

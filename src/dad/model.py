@@ -32,8 +32,11 @@ def record(cls: type) -> type:
     underneath with the guarantees the module docstring lists; unlike a plain
     named tuple it equals no other type. It still iterates, indexes and orders
     as a tuple. A ``__post_init__`` method runs after every construction, so
-    it can refuse bad values. The body's methods and properties carry over,
-    but cannot call ``super()`` without arguments.
+    it can refuse bad values: the record's ``__new__`` is then one function
+    with the fields' signature and defaults that builds the tuple and runs
+    the check. ``copy`` and ``pickle`` go through it, and ``_make`` and
+    ``_replace`` run the check too. The body's methods and properties carry
+    over, but cannot call ``super()`` without arguments.
     """
     body = dict(vars(cls))
     names = tuple(cls.__annotations__)
@@ -51,14 +54,38 @@ def record(cls: type) -> type:
     body.update(__slots__=(), __eq__=_record_eq, __ne__=_record_ne, __hash__=tuple.__hash__)
     post_init = body.get("__post_init__")
     if post_init is not None:
-
-        def __new__(klass, *args, **kwargs):
-            self = base.__new__(klass, *args, **kwargs)
-            post_init(self)
-            return self
-
-        body["__new__"] = __new__
+        body.update(__new__=_checked_new(base, post_init), _make=_checked_make)
     return type(cls.__name__, (base,), body)
+
+
+def _checked_new(base: type, post_init):
+    # One frame with the fields' own signature and defaults, written the way
+    # namedtuple writes its __new__: build the tuple, then run the check.
+    # namedtuple has checked the names: identifiers, none with a leading "_".
+    fields = ", ".join(base._fields)
+    namespace = {"_tuple_new": tuple.__new__, "_post_init": post_init}
+    exec(
+        f"def __new__(_cls, {fields}):\n"
+        f"    _self = _tuple_new(_cls, ({fields},))\n"
+        "    _post_init(_self)\n"
+        "    return _self\n",
+        namespace,
+    )
+    __new__ = namespace["__new__"]
+    __new__.__defaults__ = base.__new__.__defaults__
+    __new__.__qualname__ = f"{base.__name__}.__new__"
+    return __new__
+
+
+@classmethod
+def _checked_make(cls, iterable):
+    # namedtuple's _make, which its _replace calls, builds the tuple without
+    # __new__: this one is the same, then runs the check
+    self = tuple.__new__(cls, iterable)
+    if len(self) != len(cls._fields):
+        raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(self)}")
+    cls.__post_init__(self)
+    return self
 
 
 def _record_eq(self, other):

@@ -19,6 +19,7 @@ imports PyYAML.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import yaml
@@ -60,8 +61,20 @@ _RESOLVED_FIRSTS = frozenset(Resolver.yaml_implicit_resolvers)
 # order mark: non-ASCII text both emitters write as it is with allow_unicode
 # (libyaml escapes the planes above it), and the text ``_read`` reads.
 _PRINTABLE = "\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd"
-_WIDE = re.compile(f"[{_PRINTABLE}]*")
-_LINES = re.compile(f"[\n{_PRINTABLE}]*")
+# Its ASCII part and "\n": an ASCII text is one ``_read`` reads when deleting
+# these bytes from it leaves none.
+_ASCII_LINES = b"\n" + bytes(range(0x20, 0x7F))
+
+
+@functools.cache
+def _wide() -> tuple[re.Pattern, re.Pattern]:
+    """The classes of ``_PRINTABLE`` without and with the line feed, compiled on first use.
+
+    ``re`` builds a class over most of the basic plane code point by code
+    point, which costs a descriptor command's cold start ~10 ms, so only the
+    first non-ASCII text pays it.
+    """
+    return re.compile(f"[{_PRINTABLE}]*"), re.compile(f"[\n{_PRINTABLE}]*")
 
 
 # Collections open at once. The limit keeps deep input from exhausting the
@@ -467,7 +480,10 @@ def _read(text: str):
     than ``_MAX_DEPTH`` and the empty document. So it raises nothing: every
     error comes from the event path.
     """
-    if _LINES.fullmatch(text) is None:
+    if text.isascii():
+        if text.encode().translate(None, _ASCII_LINES):
+            return None
+    elif _wide()[1].fullmatch(text) is None:
         return None
     shapes: dict = {}  # a line -> its _line_shape; descriptors repeat most lines
     values: dict = {}  # text of a scalar -> its value, when _UNANCHORED
@@ -658,7 +674,7 @@ def _scalar(text: str) -> str | None:
     if text.isascii():
         if not text.isprintable():
             return None
-    elif _WIDE.fullmatch(text) is None:
+    elif _wide()[0].fullmatch(text) is None:
         return None
     # PyYAML's Emitter.analyze_scalar and libyaml's yaml_emitter_analyze_scalar
     # allow a plain scalar in block context unless it starts with a document

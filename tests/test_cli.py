@@ -802,6 +802,23 @@ class TestColdProcess:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "verdict: Consistent" in proc.stdout
 
+    def test_check_of_a_descriptor_loads_no_dataclasses_and_compiles_no_wide_class(self):
+        # the wide printable classes cost ~10 ms to compile, and an ASCII
+        # descriptor never needs them
+        program = (
+            "import sys\n"
+            "from dad.cli import main\n"
+            f"code = main(['check', '-i', {str(CORPUS / 'dblog.yml')!r}])\n"
+            "assert 'dad.yaml_io' in sys.modules and 'yaml' in sys.modules\n"
+            "from dad import yaml_io\n"
+            "compiled = yaml_io._wide.cache_info().currsize\n"
+            "loaded = 'dataclasses' in sys.modules\n"
+            "sys.exit(f'dataclasses loaded: {loaded}, classes compiled: {compiled}' if loaded or compiled else code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "verdict: Consistent" in proc.stdout
+
     def test_diff_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         pair = perfbench_gen().drift_pair(random.Random(5), 60, 0.5)
         left, right = tmp_path / "old.dac", tmp_path / "new.dac"

@@ -1,18 +1,26 @@
 """Inverse-pipeline tests: script parsing, lifting to the model, descriptor
 re-emission, and the byte-identical script round trip."""
 
+import contextlib
+import io
+import os
 import random
 import string
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dad import cli
 from dad.dac_emit import EmitOptions, emit_dac
-from dad.dac_ingest import DacAst, emit_compose, lift, parse_dac
+from dad.dac_ingest import DacAst, _parse_annotations, emit_compose, lift, parse_dac
 from dad.compose import lower, parse_compose
 from dad.errors import (
     CycleError,
     DacSyntaxError,
+    DadError,
     DuplicateIdentError,
     EmitError,
     LiftError,
@@ -459,3 +467,116 @@ class TestFuzz:
                 parse_dac(mutated, strict=rng.random() < 0.5)
             except (DacSyntaxError, DuplicateIdentError, UndeclaredIdentError):
                 pass
+
+
+# Annotation texts as parse_dac meets them. An edge's lone target is read by
+# the line pattern itself, so draw values with and without the characters
+# that send it back to _parse_annotations ("," and "%"), and the other shapes
+# it must leave alone: more pairs, repeated and unknown keys, a part with no
+# "=", the empty annotation. None is a line with no annotation.
+ANNOT_VALUES = st.text(alphabet="ab/.=%,2C0A5 #", max_size=8)
+ANNOT_KEYS = st.sampled_from(["target", "target", "mode", "Target", "image", "phantom", "1x", ""])
+ANNOT_PARTS = st.one_of(st.tuples(ANNOT_KEYS, ANNOT_VALUES).map("=".join), ANNOT_KEYS)
+EDGE_ANNOTS = st.one_of(
+    st.none(),
+    st.just(""),
+    ANNOT_VALUES.map("target={}".format),
+    st.lists(ANNOT_PARTS, min_size=1, max_size=3).map(",".join),
+)
+NODE_ANNOTS = st.one_of(
+    st.none(),
+    st.sampled_from(["image=nginx", "phantom=true", "image=a%2Cb,container_name=c", "container_name=x"]),
+    st.lists(ANNOT_PARTS, min_size=1, max_size=3).map(",".join),
+)
+
+
+def annotation_outcome(text: str | None, line: int):
+    """What _parse_annotations gives for one line's text: its pairs, or its error and line."""
+    if text is None:
+        return ()
+    try:
+        return _parse_annotations(text, line)
+    except DacSyntaxError as exc:
+        return (type(exc), str(exc), exc.line)
+
+
+def annotated(text: str | None) -> str:
+    return "" if text is None else f"  # {text}"
+
+
+def script_of(node_texts: list, edge_texts: list) -> str:
+    """One cluster of servers annotated with node_texts, one volume per edge, each mounted once."""
+    lines = ['with DaC("t", direction="TB"):', '  with Cluster("c"):']
+    lines += [f'    s{i} = Server("s{i}"){annotated(text)}' for i, text in enumerate(node_texts)]
+    lines += [f'    v{j} = Storage("v{j}")' for j in range(len(edge_texts))]
+    lines += [f"  s{j % len(node_texts)} - v{j}{annotated(text)}" for j, text in enumerate(edge_texts)]
+    return "\n".join(lines) + "\n"
+
+
+class TestAnnotationText:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        # a few node texts, each shared by several nodes
+        st.lists(NODE_ANNOTS, min_size=1, max_size=3),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+        st.lists(EDGE_ANNOTS, min_size=1, max_size=6),
+    )
+    def test_parse_dac_reads_annotations_as_parse_annotations_does(self, pool, picks, edge_texts):
+        node_texts = [pool[pick % len(pool)] for pick in picks]
+        text = script_of(node_texts, edge_texts)
+        first_edge_line = 3 + len(node_texts) + len(edge_texts)
+        expected = [annotation_outcome(t, 3 + i) for i, t in enumerate(node_texts)]
+        expected += [annotation_outcome(t, first_edge_line + j) for j, t in enumerate(edge_texts)]
+        errors = [outcome for outcome in expected if outcome and isinstance(outcome[0], type)]
+        if errors:
+            with pytest.raises(DacSyntaxError) as exc:
+                parse_dac(text)
+            assert (type(exc.value), str(exc.value), exc.value.line) == errors[0]
+            return
+        ast = parse_dac(text)
+        (cluster,) = ast.clusters
+        servers = [node for node in cluster.nodes if node.kind == "Server"]
+        assert [node.annotations for node in servers] + [edge.annotations for edge in ast.edges] == expected
+
+        # a script that parses diffs Consistent/0 against itself, unless lift
+        # refuses it: then the diff is an error, exit 2
+        try:
+            lift(ast)
+            lifted = True
+        except DadError:
+            lifted = False
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "a.dac")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["diff", "-i", path, "-i", path, "--report", "machine"])
+        if lifted:
+            assert code == 0 and out.getvalue().startswith("verdict\tConsistent\n"), err.getvalue()
+        else:
+            assert (code, out.getvalue()) == (2, "") and err.getvalue().startswith("error: ")
+
+    def test_lone_target_shapes(self):
+        # the line pattern's own reading against _parse_annotations', shape by shape
+        for value in ("/var/lib/mysql", "", " a b ", "a=b", "x  # target=y", "a%2Cb", "%25", "a%zz"):
+            text = script_of([None], [f"target={value}"])
+            (edge,) = parse_dac(text).edges
+            assert edge.annotations == _parse_annotations(f"target={value}", 5)
+        (bare,) = parse_dac(script_of([None], [None])).edges
+        (blank,) = parse_dac(script_of([None], ["target="])).edges
+        assert bare.annotations == () and blank.annotations == (("target", ""),)
+        for tail, message in (
+            ("target=a,mode=ro", None),
+            ("target=a,target=b", "duplicate annotation key 'target'"),
+            ("target=a,", "malformed annotation ''"),
+            ("target", "malformed annotation 'target'"),
+            ("1x=y", "bad annotation key '1x'"),
+        ):
+            text = script_of([None], [tail])
+            if message is None:
+                assert parse_dac(text).edges[0].annotations == (("target", "a"), ("mode", "ro"))
+                continue
+            with pytest.raises(DacSyntaxError, match=message) as exc:
+                parse_dac(text)
+            assert exc.value.line == 5

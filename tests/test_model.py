@@ -4,6 +4,7 @@ the value semantics of every record and mutable value type in dad."""
 from __future__ import annotations
 
 import copy
+import inspect
 import itertools
 import pickle
 import random
@@ -368,6 +369,21 @@ RECORDS = {
 RECORD_VALUES = [value for value, _ in RECORDS.values()]
 
 
+@record
+class Span:
+    """A checked record at module level, so pickle can find it."""
+
+    start: int
+    end: int = 10
+    label: str = ""
+    checked = []  # not a field: no annotation; the values each check saw
+
+    def __post_init__(self):
+        Span.checked.append(tuple(self))
+        if self.start > self.end:
+            raise ValueError("start after end")
+
+
 def field_values(value) -> dict:
     return {name: getattr(value, name) for name in type(value).__match_args__}
 
@@ -480,6 +496,52 @@ class TestRecords:
     def test_bad_emit_options_raise(self, kwargs, message):
         with pytest.raises(EmitError, match=message):
             EmitOptions(**kwargs)
+
+    def test_make_and_replace_run_the_check(self):
+        with pytest.raises(EmitError, match="direction must be TB or LR"):
+            EmitOptions()._replace(direction="XX")
+        with pytest.raises(EmitError, match="roles must be nonempty"):
+            EmitOptions._make(("TB", False, (("db", ""),)))
+        with pytest.raises(ValueError, match="wrong value sides"):
+            DiffEntry._make((DiffKind.MISSING_EDGE, "s", None, None))
+        with pytest.raises(ValueError, match="wrong value sides"):
+            DiffEntry(DiffKind.MISSING_EDGE, "s", "x")._replace(right="y")
+        entry = DiffEntry(DiffKind.MISSING_EDGE, "s", "x")
+        assert entry._replace(left="y") == DiffEntry(DiffKind.MISSING_EDGE, "s", "y")
+        assert DiffEntry._make(entry) == entry
+        assert EmitOptions()._replace(direction="LR") == EmitOptions("LR")
+        with pytest.raises(TypeError, match="Expected 4 arguments, got 2"):
+            DiffEntry._make((DiffKind.MISSING_EDGE, "s"))
+        with pytest.raises(ValueError, match="unexpected field names"):
+            entry._replace(middle="m")
+
+    def test_checked_record_construction(self):
+        checked = Span.checked
+        checked.clear()
+        assert inspect.signature(Span) == inspect.signature(lambda start, end=10, label="": None)
+        assert Span(1) == Span(1, 10) == Span(1, 10, "") == Span(start=1) == Span(1, label="", end=10)
+        assert checked == [(1, 10, "")] * 5
+        with pytest.raises(TypeError):
+            Span()
+        with pytest.raises(TypeError):
+            Span(1, 2, "x", 4)
+        with pytest.raises(TypeError):
+            Span(1, start=2)
+        with pytest.raises(ValueError, match="start after end"):
+            Span(11)
+        with pytest.raises(ValueError, match="start after end"):
+            Span(start=3, end=2)
+        span = Span(2, 5, "s")
+        checked.clear()
+        copies = [copy.copy(span), copy.deepcopy(span)]
+        copies += [pickle.loads(pickle.dumps(span, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is Span and other == span
+        # pickle and deepcopy rebuild through the checked constructor
+        assert len(checked) >= 1 + pickle.HIGHEST_PROTOCOL
+        assert span._replace(label="t") == Span(2, 5, "t")
+        with pytest.raises(ValueError, match="start after end"):
+            span._replace(start=6)
 
 
 class TestMutableValues:

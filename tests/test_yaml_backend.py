@@ -665,6 +665,33 @@ def test_text_writer_quotes_like_the_emitters(yaml_backend):
     assert lines[11:14] == ["- '-'", "- '...x'", "- '---'"] and lines[-3] == "- '''a'"
 
 
+def test_ascii_check_agrees_with_the_wide_classes():
+    # the text both read paths take, and the text _scalar writes as it is
+    wide, lines = yaml_io._wide()
+    for code in range(128):
+        char = chr(code)
+        read_ok = not char.encode().translate(None, yaml_io._ASCII_LINES)
+        assert read_ok == (lines.fullmatch(char) is not None), code
+        assert char.isprintable() == (wide.fullmatch(char) is not None), code
+        if not read_ok:
+            assert yaml_io._read(f"k: a{char}b\n") is None, code
+        if not char.isprintable():
+            assert yaml_io._scalar(f"a{char}b") is None, code
+
+
+@pytest.mark.parametrize("char, printable", [("é", True), ("\u2028", False), ("\ufeff", False)])
+def test_non_ascii_text_is_decided_by_the_wide_classes(char, printable):
+    # each path compiles the classes on its own first non-ASCII text
+    yaml_io._wide.cache_clear()
+    read = yaml_io._read(f"k: a{char}b\n")
+    assert (read == {"k": f"a{char}b"}) if printable else read is None
+    assert yaml_io._wide.cache_info().misses == 1
+    yaml_io._wide.cache_clear()
+    written = yaml_io._scalar(f"a{char}b")
+    assert written == (f"a{char}b" if printable else None)
+    assert yaml_io._wide.cache_info().misses == 1
+
+
 # Floats the text writer writes as SafeRepresenter.represent_float does,
 # among them the unquoted ``version: 3.8`` of many compose files.
 WRITTEN_FLOATS = {
