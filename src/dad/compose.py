@@ -19,6 +19,8 @@ import re
 
 from .errors import EmitError, LoweringError, SchemaError
 from .model import (
+    _EDGE_DST,
+    _NODE_NOUN,
     ArchModel,
     BuildRef,
     Edge,
@@ -31,6 +33,17 @@ from .model import (
 
 # Source part of a mount that names a volume rather than a host path.
 _NAMED_VOLUME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+# The relation table: the service field that holds each edge kind, in edge
+# order. What an entry points at is model._EDGE_DST[kind]; a volumes entry is
+# a MountRef, the one that also carries the edge's target.
+_RELATIONS = (
+    ("depends_on", EdgeKind.DEPENDENCY),
+    ("links", EdgeKind.LINK),
+    ("volumes", EdgeKind.MOUNT),
+    ("networks", EdgeKind.ATTACHMENT),
+)
+_FIELD_OF = {kind: field for field, kind in _RELATIONS}
 
 ResiduePath = tuple[object, ...]
 
@@ -316,35 +329,28 @@ def validate(spec: ComposeSpec, strict: bool = False) -> list[ValidationIssue]:
     """
     severity = "error" if strict else "warning"
     issues: list[ValidationIssue] = []
-    volumes = set(spec.volumes)
-    networks = set(spec.networks)
-
-    for section, kind, names in (
-        ("services", "service", spec.services),
-        ("volumes", "volume", volumes),
-        ("networks", "network", networks),
-    ):
+    names_of = {
+        ServiceNode: spec.services,
+        VolumeNode: set(spec.volumes),
+        NetworkNode: set(spec.networks),
+    }
+    for node_type, names in names_of.items():
         if "" in names:
+            noun = _NODE_NOUN[node_type]
             issues.append(
                 ValidationIssue(
                     code="EmptyName",
-                    path=section,
-                    message=f"declares a {kind} with an empty name",
+                    path=f"{noun}s",  # the section that declares them
+                    message=f"declares a {noun} with an empty name",
                     severity="error",
                 )
             )
 
-    def dangling(path: str, ref: str, kind: str) -> None:
-        issues.append(
-            ValidationIssue(
-                code="DanglingReference",
-                path=f"{path} -> {ref}",
-                message=f"references undeclared {kind} {ref!r}",
-                # a phantom node for an empty name could not exist either
-                severity=severity if ref else "error",
-            )
-        )
-
+    # per relation field: the names its entries must be among, and their noun
+    relations = [
+        (field, kind is EdgeKind.MOUNT, names_of[_EDGE_DST[kind]], _NODE_NOUN[_EDGE_DST[kind]])
+        for field, kind in _RELATIONS
+    ]
     for name, entry in spec.services.items():
         base = f"services.{name}"
         if entry.image is not None and entry.build is not None:
@@ -365,18 +371,20 @@ def validate(spec: ComposeSpec, strict: bool = False) -> list[ValidationIssue]:
                     severity=severity,
                 )
             )
-        for ref in entry.depends_on:
-            if ref not in spec.services:
-                dangling(f"{base}.depends_on", ref, "service")
-        for ref in entry.links:
-            if ref not in spec.services:
-                dangling(f"{base}.links", ref, "service")
-        for mount in entry.volumes:
-            if mount.volume not in volumes:
-                dangling(f"{base}.volumes", mount.volume, "volume")
-        for ref in entry.networks:
-            if ref not in networks:
-                dangling(f"{base}.networks", ref, "network")
+        for field, mounts, names, noun in relations:
+            for ref in getattr(entry, field):
+                if mounts:
+                    ref = ref.volume
+                if ref not in names:
+                    issues.append(
+                        ValidationIssue(
+                            code="DanglingReference",
+                            path=f"{base}.{field} -> {ref}",
+                            message=f"references undeclared {noun} {ref!r}",
+                            # a phantom node for an empty name could not exist either
+                            severity=severity if ref else "error",
+                        )
+                    )
     return issues
 
 
@@ -401,8 +409,9 @@ def load_model(
 def lower(spec: ComposeSpec, fallback_title: str = "system") -> ArchModel:
     """Map the retained fields onto the architecture graph; the mirror of ``unlower``.
 
-    One node per service/volume/network in source order, one edge per
-    depends_on/links/mount/networks entry. Dangling references get phantom
+    One node per service/volume/network in source order, then one edge per
+    entry of each relation field, walking ``_RELATIONS`` field by field and
+    each field over the services in order. Dangling references get phantom
     nodes (flagged on the node, listed by ``ArchModel.phantom_names``); the
     spec is not validated nor the model checked here, ``load_model`` does
     both. The title is the top-level ``name`` key, else ``fallback_title``.
@@ -422,37 +431,27 @@ def lower(spec: ComposeSpec, fallback_title: str = "system") -> ArchModel:
         )
     volumes = [VolumeNode(name) for name in spec.volumes]
     networks = [NetworkNode(name) for name in spec.networks]
-
-    service_names = set(spec.services)
-    volume_names = set(spec.volumes)
-    network_names = set(spec.networks)
-
-    def phantom_service(name: str) -> None:
-        if name not in service_names:
-            service_names.add(name)
-            services.append(ServiceNode(name, phantom=True))
+    # per node class: the names so far and the node list a phantom joins
+    known = {
+        ServiceNode: (set(spec.services), services),
+        VolumeNode: (set(spec.volumes), volumes),
+        NetworkNode: (set(spec.networks), networks),
+    }
 
     edges: list[Edge] = []
-    for name, entry in spec.services.items():
-        for ref in entry.depends_on:
-            phantom_service(ref)
-            edges.append(Edge(EdgeKind.DEPENDENCY, name, ref))
-    for name, entry in spec.services.items():
-        for ref in entry.links:
-            phantom_service(ref)
-            edges.append(Edge(EdgeKind.LINK, name, ref))
-    for name, entry in spec.services.items():
-        for mount in entry.volumes:
-            if mount.volume not in volume_names:
-                volume_names.add(mount.volume)
-                volumes.append(VolumeNode(mount.volume, phantom=True))
-            edges.append(Edge(EdgeKind.MOUNT, name, mount.volume, target=mount.target))
-    for name, entry in spec.services.items():
-        for ref in entry.networks:
-            if ref not in network_names:
-                network_names.add(ref)
-                networks.append(NetworkNode(ref, phantom=True))
-            edges.append(Edge(EdgeKind.ATTACHMENT, name, ref))
+    for field, kind in _RELATIONS:
+        node_type = _EDGE_DST[kind]
+        names, nodes = known[node_type]
+        mounts = kind is EdgeKind.MOUNT
+        for name, entry in spec.services.items():
+            for dst in getattr(entry, field):
+                target = None
+                if mounts:
+                    dst, target = dst.volume, dst.target
+                if dst not in names:
+                    names.add(dst)
+                    nodes.append(node_type(dst, phantom=True))
+                edges.append(Edge(kind, name, dst, target))
 
     title = spec.residue.get(("name",))
     if not isinstance(title, str) or not title:
@@ -469,32 +468,26 @@ def lower(spec: ComposeSpec, fallback_title: str = "system") -> ArchModel:
 def unlower(model: ArchModel) -> ComposeSpec:
     """The spec without residue that lowers back to ``model``, which must be valid.
 
-    Services follow model order; each one's depends_on, links, mounts and
-    networks follow edge order. Phantom volumes and networks stay undeclared,
-    and so does a phantom service with no edges of its own: none was declared
-    in any descriptor, and a lenient reparse synthesizes them again. A mount
-    edge needs its target path back; refusing to invent one (EmitError) keeps
-    the round trip honest. A repeated mount is the emitters' guard's to refuse.
+    Services follow model order; each edge goes, in edge order, to the
+    relation field ``_RELATIONS`` pairs with its kind, a mount as a MountRef.
+    Phantom volumes and networks stay undeclared, and so does a phantom
+    service with no edges of its own: none was declared in any descriptor,
+    and a lenient reparse synthesizes them again. A mount edge needs its
+    target path back; refusing to invent one (EmitError) keeps the round trip
+    honest. A repeated mount is the emitters' guard's to refuse.
     """
     entries = {
         svc.name: ServiceEntry(svc.image, svc.build, svc.container_name) for svc in model.services
     }
-    for edge in model.edges:
-        entry = entries[edge.src]
-        kind = edge.kind
-        if kind is EdgeKind.DEPENDENCY:
-            entry.depends_on.append(edge.dst)
-        elif kind is EdgeKind.LINK:
-            entry.links.append(edge.dst)
-        elif kind is EdgeKind.MOUNT:
-            if edge.target is None:
+    mount = EdgeKind.MOUNT
+    for kind, src, dst, target in model.edges:
+        if kind is mount:
+            if target is None:
                 raise EmitError(
-                    f"mount {edge.src} - {edge.dst} has no target path; "
-                    "cannot place it in a descriptor"
+                    f"mount {src} - {dst} has no target path; cannot place it in a descriptor"
                 )
-            entry.volumes.append(MountRef(edge.dst, edge.target))
-        else:
-            entry.networks.append(edge.dst)
+            dst = MountRef(dst, target)
+        getattr(entries[src], _FIELD_OF[kind]).append(dst)
     sources = {edge.src for edge in model.edges}
     return ComposeSpec(
         services={

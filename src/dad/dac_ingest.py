@@ -31,6 +31,7 @@ from .errors import (
     UndeclaredIdentError,
 )
 from .model import (
+    _EDGE_DST,
     ArchModel,
     BuildRef,
     Edge,
@@ -244,11 +245,15 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
 
 
 _NODE_TYPE = {kind: node_type for node_type, kind in _KIND_BY_NODE.items()}
+# The kind of a "-" edge by the class of its second end, lift having put a
+# service end first: the model's _EDGE_DST read backwards, less ">>"'s Dependency.
+_UNDIRECTED = {cls: kind for kind, cls in _EDGE_DST.items() if kind is not EdgeKind.DEPENDENCY}
 
 
 def _lift_node(kind: str, label: str, annotations: Annotations, line: int):
+    node_type = _NODE_TYPE[kind]
     if not annotations:
-        return _NODE_TYPE[kind](label)
+        return node_type(label)
     annots = dict(annotations)
     allowed = _NODE_ANNOT_KEYS[kind]
     if not annots.keys() <= allowed:
@@ -257,10 +262,8 @@ def _lift_node(kind: str, label: str, annotations: Annotations, line: int):
     phantom = annots.pop("phantom", None)
     if phantom is not None and phantom != "true":
         raise LiftError(f"line {line}: phantom must be 'true', got {phantom!r}")
-    if kind == "Storage":
-        return VolumeNode(label, phantom is not None)
-    if kind == "Network":
-        return NetworkNode(label, phantom is not None)
+    if node_type is not ServiceNode:
+        return node_type(label, phantom is not None)
     if "build_dockerfile" in annots and "build_context" not in annots:
         raise LiftError(f"line {line}: build_dockerfile without build_context")
     build = None
@@ -287,34 +290,31 @@ def lift(ast: DacAst) -> ArchModel:
     """Turn a parsed script into the graph model.
 
     Labels become node names. ``>>`` maps to Dependency; ``-`` is read off
-    the endpoint kinds: service-service is Link, service-volume is Mount
-    (normalized service first), service-network is Attachment. Identifiers
-    that were never declared become phantom services named by their
-    identifier. A volume mounted twice at one target by one service raises,
-    at the line of the second mount. The result is validated, so cyclic
-    dependencies raise here.
+    the endpoint kinds through ``_UNDIRECTED``, the model's edge table read
+    backwards: service-service is Link, service-volume is Mount (normalized
+    service first), service-network is Attachment. Identifiers that were
+    never declared become phantom services named by their identifier. A
+    volume mounted twice at one target by one service raises, at the line of
+    the second mount. The result is validated, so cyclic dependencies raise
+    here.
     """
     services: list[ServiceNode] = []
     volumes: list[VolumeNode] = []
     networks: list[NetworkNode] = []
-    by_ident: dict[str, tuple[str, str]] = {}  # ident -> (kind, node name)
-    nodes_of = {"Server": services, "Storage": volumes, "Network": networks}
+    by_ident: dict[str, tuple[type, str]] = {}  # ident -> (node class, node name)
+    nodes_of = {ServiceNode: services, VolumeNode: volumes, NetworkNode: networks}
     for cluster in ast.clusters:
         for ident, kind, label, annotations, line in cluster.nodes:
-            by_ident[ident] = (kind, label)  # a node is named by its label
-            nodes_of[kind].append(_lift_node(kind, label, annotations, line))
+            node = _lift_node(kind, label, annotations, line)
+            by_ident[ident] = (node.__class__, label)  # a node is named by its label
+            nodes_of[node.__class__].append(node)
 
     edges: list[Edge] = []
     # a mount is one volume at one target; compose._parse_mounts refuses a
     # repeat, so a descriptor could not hold the model
     mounts: set[tuple[str, str, str]] = set()
     # bound once, not read off the Enum class per edge
-    dependency, link, mount, attachment = (
-        EdgeKind.DEPENDENCY,
-        EdgeKind.LINK,
-        EdgeKind.MOUNT,
-        EdgeKind.ATTACHMENT,
-    )
+    dependency, mount = EdgeKind.DEPENDENCY, EdgeKind.MOUNT
     for op, src_ident, dst_ident, annotations, line in ast.edges:
         if not annotations:
             target = None
@@ -326,37 +326,35 @@ def lift(ast: DacAst) -> ArchModel:
         src = by_ident.get(src_ident)
         if src is None:
             services.append(ServiceNode(src_ident, phantom=True))
-            src = by_ident[src_ident] = ("Server", src_ident)
+            src = by_ident[src_ident] = (ServiceNode, src_ident)
         dst = by_ident.get(dst_ident)
         if dst is None:
             services.append(ServiceNode(dst_ident, phantom=True))
-            dst = by_ident[dst_ident] = ("Server", dst_ident)
-        src_kind, src_name = src
-        dst_kind, dst_name = dst
+            dst = by_ident[dst_ident] = (ServiceNode, dst_ident)
+        src_type, src_name = src
+        dst_type, dst_name = dst
         if op == ">>":
-            if src_kind != "Server" or dst_kind != "Server":
+            if src_type is not ServiceNode or dst_type is not ServiceNode:
                 raise LiftError(f"line {line}: >> requires service endpoints")
             if target is not None:
                 raise LiftError(f"line {line}: target annotation is only for mounts")
             edges.append(Edge(dependency, src_name, dst_name))
             continue
-        if src_kind != "Server" and dst_kind == "Server":
+        if src_type is not ServiceNode and dst_type is ServiceNode:
             # symmetric operator: put the service on the left
-            src_kind, dst_kind = dst_kind, src_kind
+            src_type, dst_type = dst_type, src_type
             src_name, dst_name = dst_name, src_name
-        if src_kind != "Server":
+        if src_type is not ServiceNode:
             raise LiftError(f"line {line}: - requires at least one service endpoint")
-        if dst_kind == "Storage":
-            if target is not None:
-                placed = (src_name, dst_name, target)
-                if placed in mounts:
-                    raise LiftError(f"line {line}: mounts {dst_name}:{target} twice")
-                mounts.add(placed)
-            edges.append(Edge(mount, src_name, dst_name, target))
-            continue
+        kind = _UNDIRECTED[dst_type]
         if target is not None:
-            raise LiftError(f"line {line}: target annotation is only for mounts")
-        edges.append(Edge(link if dst_kind == "Server" else attachment, src_name, dst_name))
+            if kind is not mount:
+                raise LiftError(f"line {line}: target annotation is only for mounts")
+            placed = (src_name, dst_name, target)
+            if placed in mounts:
+                raise LiftError(f"line {line}: mounts {dst_name}:{target} twice")
+            mounts.add(placed)
+        edges.append(Edge(kind, src_name, dst_name, target))
 
     model = ArchModel(ast.title, tuple(services), tuple(volumes), tuple(networks), tuple(edges))
     model.validate()

@@ -220,7 +220,7 @@ def _unique_names(kind: str, nodes: tuple) -> set[str]:
     names = {node.name for node in nodes}
     if len(names) == len(nodes) and all(names):
         return names
-    # name the first offender, in node order
+    # some name is empty or repeated: name the first offender, in node order
     seen: set[str] = set()
     for node in nodes:
         if not node.name:
@@ -228,7 +228,6 @@ def _unique_names(kind: str, nodes: tuple) -> set[str]:
         if node.name in seen:
             raise ModelError(f"duplicate {kind} name {node.name!r}")
         seen.add(node.name)
-    return seen
 
 
 def assert_acyclic(model: ArchModel) -> None:

@@ -61,6 +61,12 @@ ACYCLIC_SCRIPT = (
 )
 CYCLE_WITNESS = "dependency cycle: api -> worker -> api"
 
+# One service whose every relation field names an undeclared node.
+DANGLING_EVERY_FIELD = (
+    "services: {web: {image: nginx, depends_on: [api], links: [cache],"
+    ' volumes: ["data:/srv"], networks: [front]}}\n'
+)
+
 
 class TestGenerate:
     def test_reference_stack_stdout(self, capsys):
@@ -122,6 +128,45 @@ class TestGenerate:
         assert out.startswith('digraph "dblog system" {')
         assert "  kafka -> zookeeper;" in out
         assert "  connect -> zookeeper [dir=none];" in out
+
+    def test_one_dangling_reference_per_relation_field(self, capsys, tmp_path):
+        # every relation field names an undeclared node: lenient mode warns
+        # and draws a phantom per reference, in field order
+        src = tmp_path / "dangling.yml"
+        src.write_text(DANGLING_EVERY_FIELD, encoding="utf-8")
+        issues = [
+            "DanglingReference(services.web.depends_on -> api): references undeclared service 'api'",
+            "DanglingReference(services.web.links -> cache): references undeclared service 'cache'",
+            "DanglingReference(services.web.volumes -> data): references undeclared volume 'data'",
+            "DanglingReference(services.web.networks -> front): references undeclared network 'front'",
+        ]
+        warnings = "".join(f"warning: {issue}\n" for issue in issues)
+        code, out, err = run(capsys, "generate", "-i", str(src))
+        assert (code, err) == (EXIT_OK, warnings)
+        phantoms = [line.strip() for line in out.splitlines() if line.endswith("  # phantom=true")]
+        assert phantoms == [
+            'api = Server("api")  # phantom=true',
+            'cache = Server("cache")  # phantom=true',
+            'data = Storage("data")  # phantom=true',
+            'front = Network("front")  # phantom=true',
+        ]
+        assert out.endswith("  web >> api\n  web - cache\n  web - data  # target=/srv\n  web - front\n")
+        code, out, err = run(capsys, "generate", "-i", str(src), "--format", "dot")
+        assert (code, err) == (EXIT_OK, warnings)
+        for line in [
+            '  api [shape=box, label="api", style=dashed];',
+            '  cache [shape=box, label="cache", style=dashed];',
+            '  data [shape=cylinder, label="data", style=dashed];',
+            '  front [shape=diamond, label="front", style=dashed];',
+        ]:
+            assert line in out.splitlines()
+        code, out, err = run(capsys, "check", "-i", str(src))
+        assert (code, out.splitlines()[0]) == (EXIT_OK, "verdict: Consistent")
+        code, out, err = run(capsys, "generate", "-i", str(src), "--strict")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "".join(f"error: {issue}\n" for issue in issues) + (
+            f"error: LoweringError: {'; '.join(issues)}\n"
+        )
 
     def test_malformed_yaml(self, capsys, tmp_path):
         src = tmp_path / "bad.yml"
@@ -700,6 +745,43 @@ def test_empty_mount_target_round_trips_consistent(capsys, tmp_path):
     code, out, err = run(capsys, "check", "-i", str(path))
     assert code == EXIT_OK, out
     assert out.startswith("verdict: Consistent\n")
+
+
+# Mount items that name no volume at a string target: no target, a source
+# that is no string, a host path, a target that is no string.
+ODD_MOUNT_ITEMS = """\
+services:
+  web:
+    image: nginx
+    volumes:
+      - "data:"
+      - {type: volume, source: 1, target: /x}
+      - {type: volume, source: /abs, target: /y}
+      - {type: volume, source: data, target: 2}
+volumes:
+  data:
+"""
+
+
+def test_odd_mount_items_stay_residue(capsys, tmp_path):
+    path = tmp_path / "odd_mounts.yml"
+    path.write_text(ODD_MOUNT_ITEMS, encoding="utf-8")
+    code, out, err = run(capsys, "check", "-i", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "verdict: Consistent\n"
+        "compared: left 2 nodes / 0 edges, right 2 nodes / 0 edges\n"
+        "note: residue excluded from diagram: services.web.volumes\n"
+    )
+    spec = parse_compose(ODD_MOUNT_ITEMS)
+    assert spec.services["web"].volumes == []
+    items = ["data:", {"type": "volume", "source": 1, "target": "/x"},
+             {"type": "volume", "source": "/abs", "target": "/y"},
+             {"type": "volume", "source": "data", "target": 2}]
+    assert spec.residue == {("services", "web", "volumes"): items}
+    text = serialize_compose(spec)
+    assert yaml.safe_load(text)["services"]["web"]["volumes"] == items
+    assert parse_compose(text) == spec
 
 
 class TestCrashExits:

@@ -14,8 +14,8 @@ import pytest
 
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, ValidationIssue
 from dad.consistency import ConsistencyReport, DiffEntry, DiffKind, ReportStats, Verdict
-from dad.dac_emit import DEFAULT_ROLE_TABLE, DacScript, EmitOptions
-from dad.dac_ingest import DacAst, DacCluster, DacEdge, DacNode
+from dad.dac_emit import DEFAULT_ROLE_TABLE, DacScript, EmitOptions, emit_dac, emit_dot
+from dad.dac_ingest import DacAst, DacCluster, DacEdge, DacNode, emit_compose
 from dad.errors import CycleError, EmitError, ModelError
 from dad.model import (
     ArchModel,
@@ -249,6 +249,17 @@ class TestValidate:
         m = ArchModel(services=services("a"), edges=(dep("a", "ghost"),))
         with pytest.raises(ModelError, match="ghost"):
             m.validate()
+
+    def test_edge_from_an_undeclared_source_rejected(self):
+        m = ArchModel(services=(ServiceNode("a", image="x"),), edges=(Edge(EdgeKind.LINK, "ghost", "a"),))
+        message = "link edge source 'ghost' is not a declared service"
+        with pytest.raises(ModelError) as raised:
+            m.validate()
+        assert str(raised.value) == message
+        for emit in (emit_dac, emit_dot, emit_compose):
+            with pytest.raises(EmitError) as raised:
+                emit(m)
+            assert str(raised.value) == f"refusing to emit invalid model: {message}"
 
     @pytest.mark.parametrize(
         "edge",

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dad import compose, yaml_io
+from dad import cli, compose, yaml_io
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, spec_to_mapping
 from dad.dac_ingest import emit_compose
 from dad.errors import ComposeSyntaxError, DadError
@@ -690,6 +690,20 @@ def test_non_ascii_text_is_decided_by_the_wide_classes(char, printable):
     written = yaml_io._scalar(f"a{char}b")
     assert written == (f"a{char}b" if printable else None)
     assert yaml_io._wide.cache_info().misses == 1
+
+
+def test_read_declines_a_value_its_constructor_refuses(yaml_backend, tmp_path, capsys):
+    # block style, but the plain scalar resolves to a date that does not
+    # exist: the one-pass reader leaves it to the event path, which says where
+    text = "services:\n  web:\n    image: nginx\n    labels:\n      built: 2001-02-30\n"
+    assert yaml_io._read(text) is None
+    path = tmp_path / "bad_date.yml"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", "-i", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "verdict: Invalid\n"
+        "error: cannot read '2001-02-30' as tag:yaml.org,2002:timestamp (line 5, col 14)\n"
+    )
 
 
 # Floats the text writer writes as SafeRepresenter.represent_float does,
