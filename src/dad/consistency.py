@@ -80,7 +80,8 @@ class ConsistencyReport:
 
 
 def _render_attrs(pairs: tuple[tuple[str, str], ...]) -> str:
-    return ",".join(f"{key}={value}" for key, value in pairs)
+    # sorted by key, as a canonical form holds them
+    return ",".join(f"{key}={value}" for key, value in sorted(pairs))
 
 
 def _diff_named_section(

@@ -27,7 +27,7 @@ import re
 
 from .errors import EmitError, ModelError
 from .model import _EDGE_DST, _NODE_NOUN, ArchModel, EdgeKind, NetworkNode, ServiceNode, VolumeNode
-from .model import record
+from .model import _attr_pairs, record
 
 # First matching image substring wins; no match means role "service".
 DEFAULT_ROLE_TABLE: tuple[tuple[str, str], ...] = (
@@ -75,7 +75,7 @@ def _ident_base(name: str) -> str:
         ch.lower() if ("A" <= ch <= "Z" or "a" <= ch <= "z" or "0" <= ch <= "9") else "_"
         for ch in name
     )
-    if "0" <= base[0] <= "9":
+    if not base or "0" <= base[0] <= "9":
         base = "_" + base
     return base
 
@@ -84,8 +84,8 @@ def sanitize_ident(name: str, taken: set[str]) -> str:
     """Turn an arbitrary node name into a unique script identifier.
 
     ASCII letters/digits are kept lowercased, everything else becomes an
-    underscore, a leading digit gets an underscore prefix. Collisions take
-    the first free ``_2``, ``_3``, ... suffix.
+    underscore, a leading digit gets an underscore prefix and an empty name
+    is ``_``. Collisions take the first free ``_2``, ``_3``, ... suffix.
     """
     base = _ident_base(name)
     if base not in taken:
@@ -162,26 +162,15 @@ def decode_annot_value(value: str) -> str:
     )
 
 
-def _format_annotations(pairs: list[tuple[str, str]]) -> str:
+def _format_annotations(pairs: tuple[tuple[str, str], ...]) -> str:
     if not pairs:
         return ""
     return "  # " + ",".join(f"{key}={encode_annot_value(value)}" for key, value in pairs)
 
 
-def _node_annotations(node) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    if isinstance(node, ServiceNode):
-        if node.image is not None:
-            pairs.append(("image", node.image))
-        if node.build is not None:
-            pairs.append(("build_context", node.build.context))
-            if node.build.dockerfile is not None:
-                pairs.append(("build_dockerfile", node.build.dockerfile))
-        if node.container_name is not None:
-            pairs.append(("container_name", node.container_name))
-    if node.phantom:
-        pairs.append(("phantom", "true"))
-    return pairs
+def _node_annotations(node) -> tuple[tuple[str, str], ...]:
+    pairs = _attr_pairs(node) if isinstance(node, ServiceNode) else ()
+    return pairs + (("phantom", "true"),) if node.phantom else pairs
 
 
 def role_of(node: ServiceNode, role_table: tuple[tuple[str, str], ...]) -> str:
@@ -268,13 +257,18 @@ def emit_dac(model: ArchModel, opts: EmitOptions | None = None) -> DacScript:
         lines.append(f'    {ident} = {kind}("{label}"){annot}')
     for edge in model.edges:
         op = ">>" if edge.kind is EdgeKind.DEPENDENCY else "-"
-        annot = _format_annotations([("target", edge.target)] if edge.target is not None else [])
+        annot = _format_annotations((("target", edge.target),) if edge.target is not None else ())
         src, dst = _endpoints(edge, idents)
         lines.append(f"  {src} {op} {dst}{annot}")
     return DacScript(text="\n".join(lines) + "\n", identifiers=identifiers)
 
 
 _DOT_SHAPE = {ServiceNode: "box", VolumeNode: "cylinder", NetworkNode: "diamond"}
+# DOT's keywords, in any case, cannot be bare IDs; identifiers are lowercase,
+# so these are the ones to quote
+_DOT_QUOTED = {
+    word: f'"{word}"' for word in ("node", "edge", "graph", "digraph", "subgraph", "strict")
+}
 _DOT_EDGE_ATTRS = {
     EdgeKind.DEPENDENCY: [],
     EdgeKind.LINK: ["dir=none"],
@@ -288,24 +282,26 @@ def emit_dot(model: ArchModel, opts: EmitOptions | None = None) -> str:
 
     Services are boxes, volumes cylinders, networks diamonds; dependency
     edges are directed, the symmetric kinds carry dir=none with a per-kind
-    line style; mount edges are labeled with their target path.
+    line style; mount edges are labeled with their target path. Node IDs are
+    the script's identifiers, quoted where one is a DOT keyword.
     """
     opts = opts or EmitOptions()
     _checked(model)
 
     layout, idents = _layout(model, opts)
+    dot_id = _DOT_QUOTED.get
     lines = [f'digraph "{escape_quoted(model.title)}" {{', f"  rankdir={opts.direction};"]
     for node, ident in layout:
         attrs = [f"shape={_DOT_SHAPE[type(node)]}", f'label="{escape_quoted(node.name)}"']
         if node.phantom:
             attrs.append("style=dashed")
-        lines.append(f'  {ident} [{", ".join(attrs)}];')
+        lines.append(f'  {dot_id(ident, ident)} [{", ".join(attrs)}];')
     for edge in model.edges:
         attrs = list(_DOT_EDGE_ATTRS[edge.kind])
         if edge.kind is EdgeKind.MOUNT and edge.target is not None:
             attrs.append(f'label="{escape_quoted(edge.target)}"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         src, dst = _endpoints(edge, idents)
-        lines.append(f"  {src} -> {dst}{suffix};")
+        lines.append(f"  {dot_id(src, src)} -> {dot_id(dst, dst)}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -28,17 +28,19 @@ from .errors import (
     DacSyntaxError,
     DuplicateIdentError,
     LiftError,
+    ModelError,
     UndeclaredIdentError,
 )
 from .model import (
     _EDGE_DST,
+    _SERVICE_ATTRS,
     ArchModel,
-    BuildRef,
     Edge,
     EdgeKind,
     NetworkNode,
     ServiceNode,
     VolumeNode,
+    _service_node,
     record,
 )
 
@@ -47,6 +49,8 @@ _QUOTED = r'"([^"\\\n]*(?:\\.[^"\\\n]*)*)"'
 _IDENT = r"([a-z_][a-z0-9_]*)"
 _ANNOT = r"(  # .*)?"  # None when absent; the text after "  # " may itself be empty
 _HEADER_RE = re.compile(rf"with DaC\({_QUOTED}, direction=\"(TB|LR)\"\):")
+# the node constructor words, as alternatives
+_KINDS = "|".join(_KIND_BY_NODE.values())
 # One body line per match, matches back to back from the line after the
 # header: a node, an edge or a cluster line, or else the whole line with its
 # newline in the last group ("  pass", or a line _diagnose explains). An
@@ -54,7 +58,7 @@ _HEADER_RE = re.compile(rf"with DaC\({_QUOTED}, direction=\"(TB|LR)\"\):")
 # common mount, is read here as that value; every other annotation is left
 # to _parse_annotations.
 _LINE_RE = re.compile(
-    rf"    {_IDENT} = (Server|Storage|Network)\({_QUOTED}\){_ANNOT}\n"
+    rf"    {_IDENT} = ({_KINDS})\({_QUOTED}\){_ANNOT}\n"
     rf"|  {_IDENT} (>>|-) {_IDENT}(?:  # target=([^,%\n]*)|{_ANNOT})\n"
     rf"|  with Cluster\({_QUOTED}\):\n"
     r"|(.*\n)"
@@ -67,7 +71,7 @@ Annotations = tuple[tuple[str, str], ...]
 @record
 class DacNode:
     ident: str
-    kind: str  # Server | Storage | Network
+    kind: str  # a constructor word of dac_emit._KIND_BY_NODE
     label: str
     annotations: Annotations = ()
     line: int = 0
@@ -100,12 +104,10 @@ class DacAst:
         return tuple(node for cluster in self.clusters for node in cluster.nodes)
 
 
+# the annotation keys each constructor word's node understands
 _NODE_ANNOT_KEYS = {
-    "Server": frozenset(
-        {"image", "build_context", "build_dockerfile", "container_name", "phantom"}
-    ),
-    "Storage": frozenset({"phantom"}),
-    "Network": frozenset({"phantom"}),
+    kind: frozenset(("phantom", *(_SERVICE_ATTRS if node_type is ServiceNode else ())))
+    for node_type, kind in _KIND_BY_NODE.items()
 }
 # keys lift understands are well formed; only other keys need _KEY_RE
 _KNOWN_ANNOT_KEYS = frozenset({"target"}).union(*_NODE_ANNOT_KEYS.values())
@@ -140,7 +142,7 @@ def _diagnose(line: str, lineno: int) -> DacSyntaxError:
             f"malformed node line {line.strip()!r}",
             lineno,
             col=5,
-            expected='ident = Server|Storage|Network("label")',
+            expected=f'ident = {_KINDS}("label")',
         )
     if line.startswith("  "):
         return DacSyntaxError(
@@ -264,18 +266,10 @@ def _lift_node(kind: str, label: str, annotations: Annotations, line: int):
         raise LiftError(f"line {line}: phantom must be 'true', got {phantom!r}")
     if node_type is not ServiceNode:
         return node_type(label, phantom is not None)
-    if "build_dockerfile" in annots and "build_context" not in annots:
-        raise LiftError(f"line {line}: build_dockerfile without build_context")
-    build = None
-    if "build_context" in annots:
-        build = BuildRef(annots["build_context"], annots.get("build_dockerfile"))
-    return ServiceNode(
-        label,
-        annots.get("image"),
-        build,
-        annots.get("container_name"),
-        phantom is not None,
-    )
+    try:
+        return _service_node(label, annots, phantom is not None)
+    except ModelError as exc:
+        raise LiftError(f"line {line}: {exc}") from exc
 
 
 def _edge_target(annotations: Annotations, line: int) -> str | None:
@@ -309,6 +303,12 @@ def lift(ast: DacAst) -> ArchModel:
             by_ident[ident] = (node.__class__, label)  # a node is named by its label
             nodes_of[node.__class__].append(node)
 
+    def phantom(ident: str) -> tuple[type, str]:
+        # an identifier never declared is a phantom service, added on first use
+        services.append(ServiceNode(ident, phantom=True))
+        end = by_ident[ident] = (ServiceNode, ident)
+        return end
+
     edges: list[Edge] = []
     # a mount is one volume at one target; compose._parse_mounts refuses a
     # repeat, so a descriptor could not hold the model
@@ -322,17 +322,8 @@ def lift(ast: DacAst) -> ArchModel:
             target = annotations[0][1]
         else:
             target = _edge_target(annotations, line)
-        # an identifier never declared is a phantom service, added on first use
-        src = by_ident.get(src_ident)
-        if src is None:
-            services.append(ServiceNode(src_ident, phantom=True))
-            src = by_ident[src_ident] = (ServiceNode, src_ident)
-        dst = by_ident.get(dst_ident)
-        if dst is None:
-            services.append(ServiceNode(dst_ident, phantom=True))
-            dst = by_ident[dst_ident] = (ServiceNode, dst_ident)
-        src_type, src_name = src
-        dst_type, dst_name = dst
+        src_type, src_name = by_ident.get(src_ident) or phantom(src_ident)
+        dst_type, dst_name = by_ident.get(dst_ident) or phantom(dst_ident)
         if op == ">>":
             if src_type is not ServiceNode or dst_type is not ServiceNode:
                 raise LiftError(f"line {line}: >> requires service endpoints")

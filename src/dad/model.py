@@ -129,6 +129,37 @@ class ServiceNode:
     phantom: bool = False
 
 
+# A service's retained attributes, in script order. The keys are the words of
+# the script's node annotations and of diff subjects; _attr_pairs and
+# _service_node are each other's inverse.
+_SERVICE_ATTRS = ("image", "build_context", "build_dockerfile", "container_name")
+_IMAGE, _BUILD_CONTEXT, _BUILD_DOCKERFILE, _CONTAINER_NAME = _SERVICE_ATTRS
+
+
+def _attr_pairs(service: ServiceNode) -> tuple[tuple[str, str], ...]:
+    """The service's set attributes as (key, value) pairs, in script order."""
+    _, image, build, container_name, _ = service
+    pairs = [] if image is None else [(_IMAGE, image)]
+    if build is not None:
+        context, dockerfile = build
+        pairs.append((_BUILD_CONTEXT, context))
+        if dockerfile is not None:
+            pairs.append((_BUILD_DOCKERFILE, dockerfile))
+    if container_name is not None:
+        pairs.append((_CONTAINER_NAME, container_name))
+    return tuple(pairs)
+
+
+def _service_node(name: str, attrs: dict[str, str], phantom: bool = False) -> ServiceNode:
+    """The service whose _attr_pairs ``attrs`` holds; ModelError if no service can hold them."""
+    get = attrs.get
+    context = get(_BUILD_CONTEXT)
+    if context is None and _BUILD_DOCKERFILE in attrs:
+        raise ModelError(f"{_BUILD_DOCKERFILE} without {_BUILD_CONTEXT}")
+    build = None if context is None else BuildRef(context, get(_BUILD_DOCKERFILE))
+    return ServiceNode(name, get(_IMAGE), build, get(_CONTAINER_NAME), phantom)
+
+
 @record
 class VolumeNode:
     name: str
@@ -304,30 +335,17 @@ class CanonicalForm:
         return "\n".join(lines) + "\n"
 
 
-def _service_attrs(image, build, container_name) -> tuple[tuple[str, str], ...]:
-    # appended in key order: build_context, build_dockerfile, container_name, image
-    attrs = []
-    if build is not None:
-        attrs.append(("build_context", build.context))
-        if build.dockerfile is not None:
-            attrs.append(("build_dockerfile", build.dockerfile))
-    if container_name is not None:
-        attrs.append(("container_name", container_name))
-    if image is not None:
-        attrs.append(("image", image))
-    return tuple(attrs)
-
-
 @record
 class KeyedForm:
     """Unsorted projection of a model onto the retained subset, keyed for lookup.
 
-    ``services`` maps each service name to its attribute pairs (sorted by key),
-    ``volumes`` and ``networks`` hold the names, and ``edges`` counts each
-    (kind value, src, dst, target) tuple, so a repeated edge counts twice and
-    a mount with no target (None) differs from one at ``""``. It holds what
-    :class:`CanonicalForm` holds, before any sorting; a node name listed
-    twice, which ``ArchModel.validate`` refuses, counts once.
+    ``services`` maps each service name to its attribute pairs in script
+    order (sorted by key when keyed from a canonical form; the diff reads
+    them as mappings), ``volumes`` and ``networks`` hold the names, and
+    ``edges`` counts each (kind value, src, dst, target) tuple, so a repeated
+    edge counts twice and a mount with no target (None) differs from one at
+    ``""``. It holds what :class:`CanonicalForm` holds, before any sorting; a
+    node name listed twice, which ``ArchModel.validate`` refuses, counts once.
     """
 
     services: dict[str, tuple[tuple[str, str], ...]]
@@ -355,10 +373,7 @@ def keyed(model: ArchModel | CanonicalForm) -> KeyedForm:
             Counter(model.edges),
         )
     return KeyedForm(
-        services={
-            name: _service_attrs(image, build, container_name)
-            for name, image, build, container_name, _ in model.services
-        },
+        services={service.name: _attr_pairs(service) for service in model.services},
         volumes=frozenset(v.name for v in model.volumes),
         networks=frozenset(n.name for n in model.networks),
         edges=Counter(
@@ -373,7 +388,9 @@ def canonicalize(model: ArchModel | CanonicalForm) -> CanonicalForm:
         return model
     form = keyed(model)
     return CanonicalForm(
-        services=tuple(sorted(form.services.items())),
+        services=tuple(
+            sorted((name, tuple(sorted(pairs))) for name, pairs in form.services.items())
+        ),
         volumes=tuple(sorted(form.volumes)),
         networks=tuple(sorted(form.networks)),
         edges=tuple(sorted(form.edges.elements(), key=edge_order)),

@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,9 +30,20 @@ from hypothesis import strategies as st
 from dad import cli, yaml_io
 from dad.compose import load_model, lower, parse_compose, serialize_compose, unlower
 from dad.consistency import Verdict, check_diagram_against_descriptor, round_trip_check
-from dad.dac_emit import emit_dac
+from dad.dac_emit import emit_dac, emit_dot
+from dad.dac_ingest import lift, parse_dac
 from dad.errors import DadError
-from dad.model import ArchModel, Edge, EdgeKind, model_equal
+from dad.model import (
+    _SERVICE_ATTRS,
+    ArchModel,
+    BuildRef,
+    Edge,
+    EdgeKind,
+    NetworkNode,
+    ServiceNode,
+    VolumeNode,
+    model_equal,
+)
 
 from specgen import gen_model, perfbench_gen
 
@@ -1175,3 +1187,148 @@ def test_adversarial_descriptor_text(doc):
             again = parse_compose(written)
             assert again == spec, text
             assert serialize_compose(again) == written, text
+
+
+def test_dot_keywords_as_names_are_quoted_ids(capsys):
+    # proxy_stack's network is named "edge", a DOT keyword in any case
+    code, out, err = run(capsys, "generate", "--format", "dot", "-i", str(CORPUS / "proxy_stack.yml"))
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert '  "edge" [shape=diamond, label="edge"];' in lines
+    assert '  traefik -> "edge" [dir=none, style=dotted];' in lines
+    assert not any(line.startswith(("  edge ", "  edge[")) for line in lines)
+    # one line per node holds "[shape=", one per edge " -> "
+    model, _, _ = load_model((CORPUS / "proxy_stack.yml").read_text(encoding="utf-8"))
+    nodes = len(model.services) + len(model.volumes) + len(model.networks)
+    assert sum("[shape=" in line for line in lines) == nodes
+    assert sum(" -> " in line for line in lines) == len(model.edges)
+    # the script keeps the bare identifier
+    code, out, _ = run(capsys, "generate", "-i", str(CORPUS / "proxy_stack.yml"))
+    assert '    edge = Network("edge")' in out.splitlines()
+
+
+# One value per retained attribute; a service holds an image or a build, not both.
+ATTR_VALUES = {
+    "image": "img:1",
+    "build_context": "./ctx",
+    "build_dockerfile": "Dockerfile.dev",
+    "container_name": "svc_main",
+}
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ("image",),
+        ("build_context",),
+        ("build_context", "build_dockerfile"),
+        ("container_name",),
+        ("image", "container_name"),
+        ("build_context", "build_dockerfile", "container_name"),
+    ],
+)
+def test_each_attribute_is_one_annotation_and_one_diff_subject(capsys, tmp_path, keys):
+    attrs = {key: ATTR_VALUES[key] for key in keys}
+    build = None
+    if "build_context" in attrs:
+        build = BuildRef(attrs["build_context"], attrs.get("build_dockerfile"))
+    service = ServiceNode("svc", attrs.get("image"), build, attrs.get("container_name"))
+    model = ArchModel("attrs", (service, ServiceNode("other", "x")))
+    script = emit_dac(model).text
+    # the annotations are the model's keys, in its order
+    annotations = ",".join(f"{key}={attrs[key]}" for key in _SERVICE_ATTRS if key in attrs)
+    assert f'    svc = Server("svc")  # {annotations}' in script.splitlines()
+    assert lift(parse_dac(script)) == model
+
+    original = tmp_path / "original.dac"
+    original.write_text(script, encoding="utf-8")
+    for key in keys:
+        annotation = f"{key}={attrs[key]}"
+        assert script.count(annotation) == 1
+        edited = tmp_path / f"{key}.dac"
+        edited.write_text(script.replace(annotation, f"{annotation}2"), encoding="utf-8")
+        code, out, _ = run(capsys, "diff", "-i", str(original), "-i", str(edited), "--report", "machine")
+        assert code == EXIT_INCONSISTENT
+        issues = [line for line in out.splitlines() if line.split("\t")[0] not in ("verdict", "stats")]
+        assert issues == [f"AttributeMismatch\tservices.svc.{key}\t{attrs[key]}\t{attrs[key]}2"]
+
+
+# Text that a label, title, annotation value or mount target must carry
+# through a script: the script's and DOT's own syntax characters, control
+# characters, line breaks str.splitlines knows and non-ASCII text.
+LABEL_PIECES = (
+    '"', "\\", "%", ",", "#", "=", ":", " ", "-", "_", "  # k=v", "\n", "\r", "\t", "\x00",
+    "\x1f", "\x7f", "\x85", "\u2028", "é", "中", "a", "B", "7",
+)
+DOT_KEYWORDS = ("node", "edge", "graph", "digraph", "subgraph", "strict")
+
+
+@st.composite
+def any_case(draw, word: str) -> str:
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(ch.upper() if up else ch for ch, up in zip(word, upper))
+
+
+# DOT keywords in any case, the script's "pass", and names that sanitize to one base
+LABELS = (
+    st.sampled_from(DOT_KEYWORDS).flatmap(any_case)
+    | st.sampled_from(("pass", "a b", "a-b", "A_B"))
+    | st.lists(st.sampled_from(LABEL_PIECES), min_size=1, max_size=5).map("".join)
+)
+
+
+@st.composite
+def labelled_models(draw) -> ArchModel:
+    names = draw(st.lists(LABELS, min_size=1, max_size=6, unique=True))
+    # some volumes and networks share a service's name
+    volumes = draw(st.lists(LABELS | st.sampled_from(names), max_size=4, unique=True))
+    networks = draw(st.lists(LABELS | st.sampled_from(names), max_size=3, unique=True))
+    services = st.sampled_from(names)
+    edges = [
+        # a dependency points at an earlier service, so there is no cycle
+        Edge(EdgeKind.DEPENDENCY, src, dst)
+        for src, dst in draw(st.lists(st.tuples(services, services), max_size=4))
+        if names.index(dst) < names.index(src)
+    ]
+    for src, dst in draw(st.lists(st.tuples(services, services), max_size=2)):
+        edges.append(Edge(EdgeKind.LINK, src, dst))
+    if volumes:
+        mounts = st.lists(st.tuples(services, st.sampled_from(volumes)), max_size=4, unique=True)
+        for src, dst in draw(mounts):
+            edges.append(Edge(EdgeKind.MOUNT, src, dst, draw(st.none() | LABELS)))
+    if networks:
+        for src, dst in draw(st.lists(st.tuples(services, st.sampled_from(networks)), max_size=3)):
+            edges.append(Edge(EdgeKind.ATTACHMENT, src, dst))
+    attrs = st.none() | LABELS
+    return ArchModel(
+        title=draw(st.lists(st.sampled_from(LABEL_PIECES), max_size=5).map("".join)),
+        services=tuple(ServiceNode(name, draw(attrs), None, draw(attrs)) for name in names),
+        volumes=tuple(map(VolumeNode, volumes)),
+        networks=tuple(map(NetworkNode, networks)),
+        edges=tuple(draw(st.permutations(edges))),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=labelled_models())
+def test_labels_titles_and_identifiers_survive_both_diagram_forms(model):
+    script = emit_dac(model).text
+    assert lift(parse_dac(script)) == model  # the title included
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "model.dac")
+        path.write_text(script, encoding="utf-8")
+        code, out = quiet_main("diff", "-i", str(path), "-i", str(path), "--report", "machine")
+    assert (code, out.split("\n")[0]) == (EXIT_OK, "verdict\tConsistent"), script
+
+    # after the two header lines, one line per node, "  <id> [shape=...",
+    # then one per edge, "  <id> -> <id>..."; U+2028 in a label is no line end
+    dot = emit_dot(model).split("\n")
+    nodes = len(model.services) + len(model.volumes) + len(model.networks)
+    dot_id = r'([a-z_][a-z0-9_]*|"[a-z]+")'
+    ids = [re.match(rf"  {dot_id} \[shape=", line).group(1) for line in dot[2 : 2 + nodes]]
+    assert len(set(ids)) == nodes
+    assert not set(ids) & set(DOT_KEYWORDS)
+    assert dot[2 + nodes + len(model.edges) :] == ["}", ""]
+    for line in dot[2 + nodes : -2]:
+        assert set(re.match(rf"  {dot_id} -> {dot_id}[ ;]", line).groups()) <= set(ids)

@@ -79,6 +79,7 @@ class TestSanitizeIdent:
             ("123db", "_123db"),
             ("web app", "web_app"),
             ("café", "caf_"),
+            ("", "_"),
         ],
     )
     def test_rules(self, name, expected):
