@@ -28,6 +28,7 @@ from .model import (
     NetworkNode,
     ServiceNode,
     VolumeNode,
+    _attr_pairs,
     record,
 )
 
@@ -66,14 +67,12 @@ class _Fields:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class MountRef(_Fields):
+@record
+class MountRef:
     """Named-volume mount: volume name plus in-container target path."""
 
-    __slots__ = ("volume", "target")
-
-    def __init__(self, volume: str, target: str):
-        self.volume = volume
-        self.target = target
+    volume: str
+    target: str
 
 
 class ServiceEntry(_Fields):
@@ -272,7 +271,7 @@ def _parse_mounts(value, svc: str, path: str, spec: ComposeSpec) -> list[MountRe
     passthrough: list[object] = []
     # a mount's options are residue keyed by volume:target, so a repeat would
     # share the first one's key
-    seen: set[tuple[str, str]] = set()
+    seen: set[MountRef] = set()
     for item in value:
         mount = None
         if isinstance(item, str):
@@ -280,10 +279,9 @@ def _parse_mounts(value, svc: str, path: str, spec: ComposeSpec) -> list[MountRe
         elif isinstance(item, dict):
             mount = _parse_long_mount(item, svc, spec)
         if mount is not None:
-            key = (mount.volume, mount.target)
-            if key in seen:
+            if mount in seen:
                 raise SchemaError(path, f"mounts {mount.volume}:{mount.target} twice")
-            seen.add(key)
+            seen.add(mount)
             mounts.append(mount)
         else:
             passthrough.append(item)
@@ -470,17 +468,20 @@ def unlower(model: ArchModel) -> ComposeSpec:
 
     Services follow model order; each edge goes, in edge order, to the
     relation field ``_RELATIONS`` pairs with its kind, a mount as a MountRef.
-    Phantom volumes and networks stay undeclared, and so does a phantom
-    service with no edges of its own: none was declared in any descriptor,
-    and a lenient reparse synthesizes them again. A mount edge needs its
-    target path back; refusing to invent one (EmitError) keeps the round trip
-    honest. A repeated mount is the emitters' guard's to refuse.
+    A phantom node stays undeclared only where a lenient reparse synthesizes
+    it again as it is: an edge points at it, it has no edges of its own and,
+    for a service, no attributes. Every other node is declared. A mount edge
+    needs its target path back; refusing to invent one (EmitError) keeps the
+    round trip honest. A repeated mount is the emitters' guard's to refuse.
     """
     entries = {
         svc.name: ServiceEntry(svc.image, svc.build, svc.container_name) for svc in model.services
     }
+    # node class -> the names edges point at
+    pointed_at: dict[type, set[str]] = {node_type: set() for node_type in _NODE_NOUN}
     mount = EdgeKind.MOUNT
     for kind, src, dst, target in model.edges:
+        pointed_at[_EDGE_DST[kind]].add(dst)
         if kind is mount:
             if target is None:
                 raise EmitError(
@@ -489,14 +490,18 @@ def unlower(model: ArchModel) -> ComposeSpec:
             dst = MountRef(dst, target)
         getattr(entries[src], _FIELD_OF[kind]).append(dst)
     sources = {edge.src for edge in model.edges}
+
+    def declared(node) -> bool:
+        return not node.phantom or node.name not in pointed_at[node.__class__]
+
     return ComposeSpec(
         services={
             svc.name: entries[svc.name]
             for svc in model.services
-            if not svc.phantom or svc.name in sources
+            if declared(svc) or svc.name in sources or _attr_pairs(svc)
         },
-        volumes=[v.name for v in model.volumes if not v.phantom],
-        networks=[n.name for n in model.networks if not n.phantom],
+        volumes=[v.name for v in model.volumes if declared(v)],
+        networks=[n.name for n in model.networks if declared(n)],
     )
 
 

@@ -39,6 +39,13 @@ class DiffKind(Enum):
 
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(DiffKind)}
+# the value sides, (left, right), each kind carries; a kind outside it needs both
+_SIDES = {
+    DiffKind.MISSING_NODE: (True, False),
+    DiffKind.MISSING_EDGE: (True, False),
+    DiffKind.EXTRA_NODE: (False, True),
+    DiffKind.EXTRA_EDGE: (False, True),
+}
 
 
 @record
@@ -52,13 +59,7 @@ class DiffEntry:
     right: str | None = None
 
     def __post_init__(self):
-        if self.kind in (DiffKind.MISSING_NODE, DiffKind.MISSING_EDGE):
-            ok = self.left is not None and self.right is None
-        elif self.kind in (DiffKind.EXTRA_NODE, DiffKind.EXTRA_EDGE):
-            ok = self.left is None and self.right is not None
-        else:
-            ok = self.left is not None and self.right is not None
-        if not ok:
+        if _SIDES.get(self.kind, (True, True)) != (self.left is not None, self.right is not None):
             raise ValueError(f"{self.kind.value} entry has the wrong value sides")
 
 

@@ -110,7 +110,8 @@ _NODE_ANNOT_KEYS = {
     for node_type, kind in _KIND_BY_NODE.items()
 }
 # keys lift understands are well formed; only other keys need _KEY_RE
-_KNOWN_ANNOT_KEYS = frozenset({"target"}).union(*_NODE_ANNOT_KEYS.values())
+_EDGE_ANNOT_KEYS = frozenset({"target"})
+_KNOWN_ANNOT_KEYS = _EDGE_ANNOT_KEYS.union(*_NODE_ANNOT_KEYS.values())
 
 
 def _parse_annotations(raw: str, lineno: int) -> Annotations:
@@ -252,15 +253,19 @@ _NODE_TYPE = {kind: node_type for node_type, kind in _KIND_BY_NODE.items()}
 _UNDIRECTED = {cls: kind for kind, cls in _EDGE_DST.items() if kind is not EdgeKind.DEPENDENCY}
 
 
+def _understood(annotations: Annotations, allowed: frozenset[str], what: str, line: int) -> dict[str, str]:
+    annots = dict(annotations)
+    if not annots.keys() <= allowed:
+        unknown = sorted(annots.keys() - allowed)
+        raise LiftError(f"line {line}: {what} annotation keys {unknown} not understood")
+    return annots
+
+
 def _lift_node(kind: str, label: str, annotations: Annotations, line: int):
     node_type = _NODE_TYPE[kind]
     if not annotations:
         return node_type(label)
-    annots = dict(annotations)
-    allowed = _NODE_ANNOT_KEYS[kind]
-    if not annots.keys() <= allowed:
-        unknown = sorted(annots.keys() - allowed)
-        raise LiftError(f"line {line}: {kind} annotation keys {unknown} not understood")
+    annots = _understood(annotations, _NODE_ANNOT_KEYS[kind], kind, line)
     phantom = annots.pop("phantom", None)
     if phantom is not None and phantom != "true":
         raise LiftError(f"line {line}: phantom must be 'true', got {phantom!r}")
@@ -270,14 +275,6 @@ def _lift_node(kind: str, label: str, annotations: Annotations, line: int):
         return _service_node(label, annots, phantom is not None)
     except ModelError as exc:
         raise LiftError(f"line {line}: {exc}") from exc
-
-
-def _edge_target(annotations: Annotations, line: int) -> str | None:
-    annots = dict(annotations)
-    unknown = annots.keys() - {"target"}
-    if unknown:
-        raise LiftError(f"line {line}: edge annotation keys {sorted(unknown)} not understood")
-    return annots.get("target")
 
 
 def lift(ast: DacAst) -> ArchModel:
@@ -321,23 +318,21 @@ def lift(ast: DacAst) -> ArchModel:
         elif len(annotations) == 1 and annotations[0][0] == "target":
             target = annotations[0][1]
         else:
-            target = _edge_target(annotations, line)
+            target = _understood(annotations, _EDGE_ANNOT_KEYS, "edge", line).get("target")
         src_type, src_name = by_ident.get(src_ident) or phantom(src_ident)
         dst_type, dst_name = by_ident.get(dst_ident) or phantom(dst_ident)
         if op == ">>":
             if src_type is not ServiceNode or dst_type is not ServiceNode:
                 raise LiftError(f"line {line}: >> requires service endpoints")
-            if target is not None:
-                raise LiftError(f"line {line}: target annotation is only for mounts")
-            edges.append(Edge(dependency, src_name, dst_name))
-            continue
-        if src_type is not ServiceNode and dst_type is ServiceNode:
-            # symmetric operator: put the service on the left
-            src_type, dst_type = dst_type, src_type
-            src_name, dst_name = dst_name, src_name
-        if src_type is not ServiceNode:
-            raise LiftError(f"line {line}: - requires at least one service endpoint")
-        kind = _UNDIRECTED[dst_type]
+            kind = dependency
+        else:
+            if src_type is not ServiceNode and dst_type is ServiceNode:
+                # symmetric operator: put the service on the left
+                src_type, dst_type = dst_type, src_type
+                src_name, dst_name = dst_name, src_name
+            if src_type is not ServiceNode:
+                raise LiftError(f"line {line}: - requires at least one service endpoint")
+            kind = _UNDIRECTED[dst_type]
         if target is not None:
             if kind is not mount:
                 raise LiftError(f"line {line}: target annotation is only for mounts")
@@ -357,10 +352,11 @@ def emit_compose(model: ArchModel) -> str:
 
     This is ``serialize_compose(unlower(model))``, so mounts and builds are
     written as ``dad`` writes them from any descriptor. Key order follows
-    model order, phantom nodes stay undeclared unless a phantom service has
-    edges of its own, and a mount edge without a target path is refused
-    (EmitError), as is a model that fails the emitters' guard: one that fails
-    ``ArchModel.validate`` or mounts a volume twice at one target.
+    model order, a phantom node stays undeclared only where a lenient
+    reparse gives it back (see ``unlower``), and a mount edge without a
+    target path is refused (EmitError), as is a model that fails the
+    emitters' guard: one that fails ``ArchModel.validate`` or mounts a
+    volume twice at one target.
     """
     from . import compose
 

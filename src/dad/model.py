@@ -51,7 +51,7 @@ def record(cls: type) -> type:
     )
     body.pop("__dict__", None)
     body.pop("__weakref__", None)
-    body.update(__slots__=(), __eq__=_record_eq, __ne__=_record_ne, __hash__=tuple.__hash__)
+    body.update(__slots__=(), __eq__=_record_eq, __ne__=object.__ne__, __hash__=tuple.__hash__)
     post_init = body.get("__post_init__")
     if post_init is not None:
         body.update(__new__=_checked_new(base, post_init), _make=_checked_make)
@@ -94,11 +94,6 @@ def _record_eq(self, other):
     # A tuple subclass's reflected __eq__ runs first, even with a plain tuple
     # on the left, so NotImplemented here would let tuple equality decide.
     return False if isinstance(other, tuple) else NotImplemented
-
-
-def _record_ne(self, other):
-    equal = _record_eq(self, other)
-    return equal if equal is NotImplemented else not equal
 
 
 class EdgeKind(Enum):

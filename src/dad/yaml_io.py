@@ -85,7 +85,6 @@ _MAX_DEPTH = 100
 _STR_TAG = "tag:yaml.org,2002:str"
 _NULL_TAG = "tag:yaml.org,2002:null"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
-_FLOAT_TAG = "tag:yaml.org,2002:float"
 _MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
 _SEQ_TAGS = (None, "!", "tag:yaml.org,2002:seq")
 _SET_TAG = "tag:yaml.org,2002:set"
@@ -134,8 +133,9 @@ def _syntax_error(problem: str, mark) -> ComposeSyntaxError:
 
 
 def _kind(value) -> str:
-    if isinstance(value, (dict, set)):
-        return "mapping"
+    # each caller has taken a plain dict already, so a mapping never reaches it
+    if isinstance(value, set):
+        return "set"
     return "sequence" if isinstance(value, list) else "scalar"
 
 
@@ -695,8 +695,12 @@ def _scalar(text: str) -> str | None:
     return text
 
 
-def _float(value: float) -> str | None:
-    """``value`` as ``SafeRepresenter.represent_float`` writes it, or None if that would not read back as a float."""
+def _float(value: float) -> str:
+    """``value`` as ``SafeRepresenter.represent_float`` writes it.
+
+    ``repr`` gives digits with a dot or a signed exponent, so the text reads
+    back as a float.
+    """
     if value != value:
         return ".nan"
     if value == _INF:
@@ -706,7 +710,7 @@ def _float(value: float) -> str | None:
     text = repr(value).lower()
     if "." not in text and "e" in text:  # 1e+17: a !!float needs the dot
         text = text.replace("e", ".0e", 1)
-    return text if _resolve(ScalarNode, text, _PLAIN) == _FLOAT_TAG else None
+    return text
 
 
 def _text(doc) -> str | None:
@@ -770,10 +774,7 @@ def _text(doc) -> str | None:
             elif cls is int:
                 write(f"{head} {value}\n")
             elif cls is float:
-                written = _float(value)
-                if written is None:
-                    return None
-                write(f"{head} {written}\n")
+                write(f"{head} {_float(value)}\n")
             else:
                 return None
         else:  # the collection is written

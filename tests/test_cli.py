@@ -31,8 +31,8 @@ from dad import cli, yaml_io
 from dad.compose import load_model, lower, parse_compose, serialize_compose, unlower
 from dad.consistency import Verdict, check_diagram_against_descriptor, round_trip_check
 from dad.dac_emit import emit_dac, emit_dot
-from dad.dac_ingest import lift, parse_dac
-from dad.errors import DadError
+from dad.dac_ingest import emit_compose, lift, parse_dac
+from dad.errors import DadError, EmitError
 from dad.model import (
     _SERVICE_ATTRS,
     ArchModel,
@@ -247,6 +247,23 @@ class TestRoleGrouping:
         assert out.index('Cluster("web service")') < out.index('Cluster("app service")')
 
 
+# Script bodies holding a phantom that a lenient reparse would not give back:
+# an attributed one that an edge points at, and an isolated service, volume
+# and network. dad invert must declare each.
+LOST_PHANTOMS = {
+    "attributed": (
+        '  with Cluster("api service"):\n'
+        '    api = Server("api")  # image=example/api:1\n'
+        '  with Cluster("cache service"):\n'
+        '    cache = Server("cache")  # image=redis:7,phantom=true\n'
+        "  api >> cache\n"
+    ),
+    "isolated service": '  with Cluster("ghost service"):\n    ghost = Server("ghost")  # phantom=true\n',
+    "isolated volume": '  with Cluster("data volume"):\n    data = Storage("data")  # phantom=true\n',
+    "isolated network": '  with Cluster("front network"):\n    front = Network("front")  # phantom=true\n',
+}
+
+
 class TestInvert:
     def test_generated_script_inverts_to_equivalent_descriptor(self, capsys, tmp_path):
         script = tmp_path / "stack.dac"
@@ -313,6 +330,15 @@ class TestInvert:
         code, out, err = run(capsys, "invert", "-i", str(script))
         assert code == EXIT_OK
         assert "ghost" in out
+
+    @pytest.mark.parametrize("body", LOST_PHANTOMS.values(), ids=LOST_PHANTOMS.keys())
+    def test_every_phantom_survives_invert_then_diff(self, capsys, tmp_path, body):
+        script, descriptor = tmp_path / "p.dac", tmp_path / "p.yml"
+        script.write_text('with DaC("p", direction="TB"):\n' + body, encoding="utf-8")
+        assert run(capsys, "invert", "-i", str(script), "-o", str(descriptor)) == (EXIT_OK, "", "")
+        code, out, err = run(capsys, "diff", "-i", str(script), "-i", str(descriptor))
+        assert code == EXIT_OK, (out, err)
+        assert out.startswith("verdict: Consistent\n")
 
     def test_roundtrip_through_files(self, capsys, tmp_path):
         script = tmp_path / "s.dac"
@@ -1332,3 +1358,118 @@ def test_labels_titles_and_identifiers_survive_both_diagram_forms(model):
     assert dot[2 + nodes + len(model.edges) :] == ["}", ""]
     for line in dot[2 + nodes : -2]:
         assert set(re.match(rf"  {dot_id} -> {dot_id}[ ;]", line).groups()) <= set(ids)
+
+
+# Identifiers a drawn script declares from, and two it never declares
+SCRIPT_IDENTS = ("a", "b", "c", "d", "e", "f")
+SCRIPT_UNDECLARED = ("u", "w")
+SCRIPT_ATTR_VALUES = st.sampled_from(("x", "", "example/api:1", "./app", "Dockerfile.dev"))
+# every subset of a service's attributes, and the ones a service can hold
+SCRIPT_ATTR_SETS = [
+    keys
+    for size in range(len(_SERVICE_ATTRS) + 1)
+    for keys in itertools.combinations(_SERVICE_ATTRS, size)
+]
+HELD_SCRIPT_ATTR_SETS = [
+    keys
+    for keys in SCRIPT_ATTR_SETS
+    if not ("image" in keys and "build_context" in keys)
+    and ("build_context" in keys or "build_dockerfile" not in keys)
+]
+SCRIPT_MOUNT_TARGETS = st.sampled_from(("", "/data", "/a:b", "/srv", None))
+
+
+def script_annotation(pairs) -> str:
+    return "  # " + ",".join(f"{key}={value}" for key, value in pairs) if pairs else ""
+
+
+@st.composite
+def h2_scripts(draw) -> str:
+    """Script text in the shapes the diagram-first path must hold.
+
+    TB or LR; clusters of one to three nodes in any order, some after edge
+    lines; every set of service attributes; phantoms with and without
+    attributes or an incoming edge; repeated and self edges of both
+    operators; undeclared identifiers; mounts with a target, ``''``
+    included, or none. Most draws are scripts lift takes; a few break one
+    of its rules.
+    """
+    idents = draw(st.lists(st.sampled_from(SCRIPT_IDENTS), min_size=2, max_size=6, unique=True))
+    # an undeclared identifier is a phantom service
+    kinds = dict.fromkeys(SCRIPT_UNDECLARED, "Server")
+    nodes = []
+    for ident in idents:
+        kind = kinds[ident] = draw(st.sampled_from(("Server", "Server", "Storage", "Network")))
+        pairs = []
+        if kind == "Server":
+            sets = SCRIPT_ATTR_SETS if draw(st.integers(0, 19)) == 0 else HELD_SCRIPT_ATTR_SETS
+            pairs = [(key, draw(SCRIPT_ATTR_VALUES)) for key in draw(st.sampled_from(sets))]
+        if draw(st.integers(0, 2)) == 0:
+            pairs.append(("phantom", "true"))
+        nodes.append(f'    {ident} = {kind}("{ident}"){script_annotation(draw(st.permutations(pairs)))}\n')
+    clusters = []
+    while nodes:
+        size = draw(st.integers(1, 3))
+        clusters.append(f'  with Cluster("c{len(clusters)}"):\n' + "".join(nodes[:size]))
+        del nodes[:size]
+
+    services = [ident for ident, kind in kinds.items() if kind == "Server"]
+    endpoints = st.sampled_from(list(kinds))
+    edges = []
+    for src, dst in draw(st.lists(st.tuples(endpoints, endpoints), max_size=10)):
+        stray = draw(st.integers(0, 39)) == 0  # an operator or a target the ends refuse
+        if kinds[src] != "Server" and kinds[dst] != "Server" and not stray:
+            src = draw(st.sampled_from(services))
+        ends = {kinds[src], kinds[dst]}
+        if stray:
+            op = draw(st.sampled_from((">>", "-")))
+        else:
+            op = ">>" if ends == {"Server"} and draw(st.booleans()) else "-"
+        mount = op == "-" and ends == {"Server", "Storage"}
+        target = draw(SCRIPT_MOUNT_TARGETS) if mount or stray else None
+        pairs = [] if target is None else [("target", target)]
+        edges.append(f"  {src} {op} {dst}{script_annotation(pairs)}\n")
+        if draw(st.integers(0, 7)) == 0:  # repeated
+            edges.append(edges[-1])
+    # each cluster goes in before the edge line at a drawn place, or last
+    body = list(edges)
+    for cluster in reversed(clusters):
+        body.insert(draw(st.integers(0, len(body))), cluster)
+    direction = draw(st.sampled_from(("TB", "LR")))
+    return f'with DaC("h2", direction="{direction}"):\n' + "".join(body)
+
+
+def test_lifted_scripts_hold_hypothesis_2():
+    # script -> model -> descriptor -> model -> script -> model gives the
+    # first model back, for every script lift takes whose mounts carry a
+    # target; a sample also goes through dad invert, then dad diff
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=h2_scripts(), via_cli=st.integers(0, 4))
+    def check(text, via_cli):
+        try:
+            model = lift(parse_dac(text, strict=False))
+        except DadError:
+            seen["refused"] += 1
+            return
+        try:
+            descriptor = emit_compose(model)
+        except EmitError:
+            assert any(edge.kind is EdgeKind.MOUNT and edge.target is None for edge in model.edges)
+            seen["mount without a target"] += 1
+            return
+        seen["held"] += 1
+        again = lift(parse_dac(emit_dac(load_model(descriptor)[0]).text))
+        assert model_equal(again, model), (text, descriptor)
+        if via_cli == 0:
+            with tempfile.TemporaryDirectory() as tmp:
+                script, back = Path(tmp, "s.dac"), Path(tmp, "back.yml")
+                script.write_text(text, encoding="utf-8")
+                assert quiet_main("invert", "-i", str(script), "-o", str(back))[0] == EXIT_OK
+                code, out = quiet_main("diff", "-i", str(script), "-i", str(back))
+            assert code == EXIT_OK, (text, out)
+
+    check()
+    # the property is about scripts lift takes: most of the draws must be such
+    assert seen["held"] > 0.3 * sum(seen.values()), seen

@@ -58,9 +58,20 @@ def reference_emit_compose(model: ArchModel) -> str:
             )
         by_service.setdefault(edge.src, {}).setdefault(edge.kind, []).append(edge)
 
+    # a phantom stays undeclared only where a lenient reparse synthesizes it
+    # again as it is: an edge points at it, and it has no edges or attributes
+    pointed_at = {
+        kind: {e.dst for e in model.edges if e.kind in kinds}
+        for kind, kinds in (
+            ("service", (EdgeKind.DEPENDENCY, EdgeKind.LINK)),
+            ("volume", (EdgeKind.MOUNT,)),
+            ("network", (EdgeKind.ATTACHMENT,)),
+        )
+    }
     services: dict[str, dict | None] = {}
     for node in model.services:
-        if node.phantom and not by_service.get(node.name):
+        bare = node.image is None and node.build is None and node.container_name is None
+        if node.phantom and not by_service.get(node.name) and node.name in pointed_at["service"] and bare:
             continue
         body: dict = {}
         if node.image is not None:
@@ -87,8 +98,8 @@ def reference_emit_compose(model: ArchModel) -> str:
         services[node.name] = body or None
 
     doc: dict = {"services": services}
-    declared_volumes = [v.name for v in model.volumes if not v.phantom]
-    declared_networks = [n.name for n in model.networks if not n.phantom]
+    declared_volumes = [v.name for v in model.volumes if not v.phantom or v.name not in pointed_at["volume"]]
+    declared_networks = [n.name for n in model.networks if not n.phantom or n.name not in pointed_at["network"]]
     if declared_volumes:
         doc["volumes"] = {name: None for name in declared_volumes}
     if declared_networks:
@@ -122,7 +133,8 @@ def _edge_cases() -> list[ArchModel]:
                 ServiceNode("b", build=BuildRef("./b", "Dockerfile.b"), container_name="b_1"),
             )
         ),
-        # a phantom service with edges of its own is declared; one without is not
+        # a phantom service with edges of its own is declared, and so is an
+        # isolated one; a bare one that an edge points at is not
         ArchModel(
             services=(ServiceNode("ghost", phantom=True), ServiceNode("real", image="x")),
             edges=(Edge(EdgeKind.LINK, "ghost", "real"),),

@@ -10,6 +10,7 @@ references are kept below.
 import datetime
 import functools
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -438,6 +439,42 @@ def test_nesting_limit_depends_on_the_input_alone(yaml_backend, opener, frames):
     assert str(err) == "nesting too deep" and (err.line, err.col) == (None, None)
 
 
+@pytest.mark.parametrize("empty", ["{}", "[]"])
+def test_an_empty_flow_collection_past_the_nesting_limit_is_too_deep(yaml_backend, tmp_path, capsys, empty):
+    # the empty collection opens inside depth - 1 block mappings, the top one
+    # included: as the 101st, the one-pass reader declines it and the event
+    # path refuses it
+    def nested(depth: int) -> str:
+        return "".join(" " * level + "a:\n" for level in range(depth - 2)) + " " * (depth - 2) + f"a: {empty}\n"
+
+    assert_same(yaml_io._read(nested(yaml_io._MAX_DEPTH)), reference_load(nested(yaml_io._MAX_DEPTH)))
+    text = nested(yaml_io._MAX_DEPTH + 1)
+    assert yaml_io._read(text) is None
+    with pytest.raises(ComposeSyntaxError, match="^nesting too deep$"):
+        yaml_io.load(text)
+    path = tmp_path / "deep.yml"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", "-i", str(path)]) == 2
+    assert capsys.readouterr().out == "verdict: Invalid\nerror: nesting too deep\n"
+
+
+# A !!set where a mapping must be: as a merge value, as an item of a merge
+# list and as an item of !!omap. PyYAML's constructor took the set's node
+# for the mapping it is written as; dad refuses it, and names the set.
+SET_REFUSALS = {
+    "merge value": ("a:\n  <<: !!set {x}\n", "expected a mapping or list of mappings for merging", 2, 7),
+    "merge list item": ("a:\n  <<: [!!set {x}]\n", "expected a mapping for merging", 2, 8),
+    "omap item": ("o: !!omap [!!set {a}]\n", "expected a mapping of length 1", 1, 12),
+}
+
+
+@pytest.mark.parametrize("text, problem, line, col", SET_REFUSALS.values(), ids=SET_REFUSALS.keys())
+def test_a_set_is_refused_as_a_set(yaml_backend, text, problem, line, col):
+    with pytest.raises(ComposeSyntaxError) as err:
+        compose._load_yaml(text)
+    assert str(err.value) == f"{problem}, but found set (line {line}, col {col})"
+
+
 def test_parse_compose_is_linear_in_services():
     def best_of_3(text: str) -> float:
         times = []
@@ -566,6 +603,8 @@ DUMP_CASES = {
     "multi-line": {"a": "line one\nline two\n", "b": "trailing  \n\n", "c": "\ttab", "d": " lead"},
     "non-ASCII": {"ü": "naïve ☃", "emoji": "\U0001f600", "cjk": "漢字", "nbsp": "a\u00a0b"},
     "empty collections": {"m": {}, "l": [], "n": None, "nested": [[], {}, [[]]]},
+    "empty mapping": {},
+    "empty list": [],
     "top-level list": [1, "a", {"b": None}],
     "top-level scalar": "just text",
     **_recursive_cases(),
@@ -720,6 +759,37 @@ WRITTEN_FLOATS = {
 def test_text_writer_writes_floats_like_the_representer(yaml_backend, doc):
     text = yaml_io._text(doc)
     assert text is not None and text == reference_dump(doc)
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_text_writer_writes_any_float_like_the_representer(backend):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(value=st.floats())
+    def check(value):
+        doc = {"a": value}
+        assert yaml_io._text(doc) == reference_dump(doc)
+
+    if backend == "python":
+        with python_backend():
+            check()
+    else:
+        check()
+
+
+def test_text_writer_leaves_a_document_past_the_indent_limit_to_yaml_dump(yaml_backend):
+    # one level of mappings more than _text indents: its lines would start
+    # past column _MAX_INDENT
+    doc: dict = {"a": "x"}
+    for _ in range(yaml_io._MAX_INDENT // 2 + 1):
+        doc = {"a": doc}
+    assert yaml_io._text(doc) is None
+    assert yaml_io._text(doc["a"]) is not None
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))  # yaml.dump's representer recurses per level
+    try:
+        assert yaml_io.dump(doc) == reference_dump(doc)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # Documents the text writer leaves to yaml.dump, each for one reason.
