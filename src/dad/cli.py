@@ -30,7 +30,7 @@ from .consistency import (
     round_trip_check,
 )
 from .dac_emit import DEFAULT_ROLE_TABLE, EmitOptions, emit_dac, emit_dot
-from .dac_ingest import emit_compose, lift, parse_dac  # noqa: F401  (callers read emit_compose here)
+from .dac_ingest import emit_compose, lift, parse_dac
 from .errors import DadError, LoweringError
 
 _EXIT_BY_VERDICT = {Verdict.CONSISTENT: 0, Verdict.INCONSISTENT: 1, Verdict.INVALID: 2}
@@ -183,12 +183,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    from . import compose
-
     path = _single_input(args, "invert")
     ast = parse_dac(_read_text(path), strict=args.strict)
-    # lift has checked the model: emit_compose would only check it again
-    _write_output(args.output, compose.serialize_compose(compose.unlower(lift(ast))))
+    _write_output(args.output, emit_compose(lift(ast)))
     return 0
 
 

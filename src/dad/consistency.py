@@ -12,7 +12,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .dac_emit import emit_dac
-from .dac_ingest import lift, parse_dac
+from .dac_ingest import emit_compose, lift, parse_dac
 from .errors import DadError
 from .model import ArchModel, CanonicalForm, edge_order, keyed, record
 from .model import canonicalize  # noqa: F401  (callers still read it from this module)
@@ -133,13 +133,8 @@ def diff_models(
     lk, rk = keyed(left), keyed(right)
     entries: list[DiffEntry] = []
 
-    _diff_named_section("services", lk.services, rk.services, entries)
-    _diff_named_section(
-        "volumes", dict.fromkeys(lk.volumes, ()), dict.fromkeys(rk.volumes, ()), entries
-    )
-    _diff_named_section(
-        "networks", dict.fromkeys(lk.networks, ()), dict.fromkeys(rk.networks, ()), entries
-    )
+    for section in ("services", "volumes", "networks"):
+        _diff_named_section(section, getattr(lk, section), getattr(rk, section), entries)
 
     # leftover edges: the keys whose counts differ, sorted, grouped by
     # (kind, src, dst) into sorted (left, right) targets; no target prints as ''
@@ -221,9 +216,7 @@ def round_trip_check(descriptor_text: str, strict: bool = False) -> ConsistencyR
     try:
         original, spec, _ = compose.load_model(descriptor_text, strict)
         script = emit_dac(original)
-        # lift has checked the model: emit_compose would only check it again
-        lifted = lift(parse_dac(script.text))
-        descriptor_back = compose.serialize_compose(compose.unlower(lifted))
+        descriptor_back = emit_compose(lift(parse_dac(script.text)))
         relowered = compose.lower(
             compose.parse_compose(descriptor_back), fallback_title=original.title
         )

@@ -334,18 +334,19 @@ class CanonicalForm:
 class KeyedForm:
     """Unsorted projection of a model onto the retained subset, keyed for lookup.
 
-    ``services`` maps each service name to its attribute pairs in script
-    order (sorted by key when keyed from a canonical form; the diff reads
-    them as mappings), ``volumes`` and ``networks`` hold the names, and
-    ``edges`` counts each (kind value, src, dst, target) tuple, so a repeated
-    edge counts twice and a mount with no target (None) differs from one at
-    ``""``. It holds what :class:`CanonicalForm` holds, before any sorting; a
-    node name listed twice, which ``ArchModel.validate`` refuses, counts once.
+    Each node section maps a name to its attribute pairs, so the diff walks
+    the three alike: ``services`` in script order (sorted by key when keyed
+    from a canonical form; the diff reads them as mappings), ``volumes`` and
+    ``networks`` to ``()``, as they carry none. ``edges`` counts each (kind
+    value, src, dst, target) tuple, so a repeated edge counts twice and a
+    mount with no target (None) differs from one at ``""``. It holds what
+    :class:`CanonicalForm` holds, before any sorting; a node name listed
+    twice, which ``ArchModel.validate`` refuses, counts once.
     """
 
     services: dict[str, tuple[tuple[str, str], ...]]
-    volumes: frozenset[str]
-    networks: frozenset[str]
+    volumes: dict[str, tuple[()]]
+    networks: dict[str, tuple[()]]
     edges: Counter[tuple[str, str, str, str | None]]
 
 
@@ -363,14 +364,14 @@ def keyed(model: ArchModel | CanonicalForm) -> KeyedForm:
     if isinstance(model, CanonicalForm):
         return KeyedForm(
             dict(model.services),
-            frozenset(model.volumes),
-            frozenset(model.networks),
+            dict.fromkeys(model.volumes, ()),
+            dict.fromkeys(model.networks, ()),
             Counter(model.edges),
         )
     return KeyedForm(
         services={service.name: _attr_pairs(service) for service in model.services},
-        volumes=frozenset(v.name for v in model.volumes),
-        networks=frozenset(n.name for n in model.networks),
+        volumes={v.name: () for v in model.volumes},
+        networks={n.name: () for n in model.networks},
         edges=Counter(
             (_KIND_VALUE[kind], src, dst, target) for kind, src, dst, target in model.edges
         ),

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from dad import cli, compose, yaml_io
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, spec_to_mapping
 from dad.dac_ingest import emit_compose
-from dad.errors import ComposeSyntaxError, DadError
+from dad.errors import ComposeSyntaxError, DadError, EmitError
 from dad.model import BuildRef
 
 from backends import on_both_backends, python_backend
@@ -475,6 +475,23 @@ def test_a_set_is_refused_as_a_set(yaml_backend, text, problem, line, col):
     assert str(err.value) == f"{problem}, but found set (line {line}, col {col})"
 
 
+# An item of !!omap or !!pairs loads as a (key, value) tuple. PyYAML merged
+# both; dad refuses them as it refuses a !!set, since a merge source must
+# load as a mapping, and names the pair.
+PAIR_REFUSALS = {
+    "omap": ("a:\n  <<: !!omap [{x: 1}]\n", 2, 7),
+    "pairs": ("a:\n  <<: !!pairs [{x: 1}]\n", 2, 7),
+    "omap through an alias": ("a: &o !!omap [{x: 1}]\nb:\n  <<: *o\n", 1, 4),
+}
+
+
+@pytest.mark.parametrize("text, line, col", PAIR_REFUSALS.values(), ids=PAIR_REFUSALS.keys())
+def test_a_pair_list_merge_value_is_refused_as_pairs(yaml_backend, text, line, col):
+    with pytest.raises(ComposeSyntaxError) as err:
+        compose._load_yaml(text)
+    assert str(err.value) == f"expected a mapping for merging, but found pair (line {line}, col {col})"
+
+
 def test_parse_compose_is_linear_in_services():
     def best_of_3(text: str) -> float:
         times = []
@@ -792,6 +809,21 @@ def test_text_writer_leaves_a_document_past_the_indent_limit_to_yaml_dump(yaml_b
         sys.setrecursionlimit(limit)
 
 
+def test_a_document_too_deep_for_yaml_dump_is_an_emit_error(yaml_backend):
+    # yaml.dump's representer recurses per level; a load refuses this depth,
+    # but a caller may build it
+    doc: dict = {"a": "x"}
+    for _ in range(600):
+        doc = {"a": doc}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    try:
+        with pytest.raises(EmitError, match="nesting too deep"):
+            compose.dump_yaml(doc)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # Documents the text writer leaves to yaml.dump, each for one reason.
 FALLBACKS = {
     "empty key": {"": 1},
@@ -918,6 +950,39 @@ def test_benchmark_and_corpus_texts_take_the_one_pass_reader():
         read = yaml_io._read(text)
         assert read is not None, text
         assert_same(read, reference_load(text))
+
+
+# Pieces of text at the edge of the plain-scalar rule the reader and the writer
+# share: every indicator, the characters neither path takes, and whole tokens
+# that resolve to another tag or change a line's shape.
+ROUND_TRIP_PIECES = [*"#,[]{}&*!|>'\"%@`-?: ", "\t", "\\", "\x85", "\xa0", "é", "a", "1", ".",
+                     "---", "...", ": ", " #", "true", "null", "~", "1e3", "0x1f", "2001-12-14", "<<", "="]
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_one_pass_reader_reads_what_the_text_writer_writes(backend):
+    written = []
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(s=st.lists(st.sampled_from(ROUND_TRIP_PIECES), max_size=8).map("".join))
+    def check(s):
+        doc = {"k": s, "l": [s]}
+        if s and len(s.encode()) < yaml_io._LONG_KEY:
+            doc[s] = 1
+        text = yaml_io._text(doc)
+        written.append(text is not None)
+        if text is not None:
+            read = yaml_io._read(text)
+            assert read is not None, text
+            assert_same(read, doc)
+            assert_same(read, yaml.safe_load(text))
+
+    if backend == "python":
+        with python_backend():
+            check()
+    else:
+        check()
+    assert sum(written) > 0.6 * len(written), f"{sum(written)} of {len(written)} written as text"
 
 
 # Line edits at the edges of what the one-pass reader reads. Any other edit
