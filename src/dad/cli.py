@@ -111,9 +111,7 @@ def _load_role_table() -> tuple[tuple[str, str], ...]:
     if not path:
         return DEFAULT_ROLE_TABLE
     pairs: list[tuple[str, str]] = []
-    # an editor may save the table with a byte order mark, which is not part of its first substring
-    text = _read_text(Path(path)).removeprefix("\ufeff")
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -126,8 +124,9 @@ def _load_role_table() -> tuple[tuple[str, str], ...]:
 
 
 def _read_text(path: Path) -> str:
+    # an editor may save any input with a byte order mark, which is not part of its text
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DadError(
             f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"

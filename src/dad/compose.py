@@ -180,7 +180,7 @@ def parse_compose(text: str) -> ComposeSpec:
 
 
 def _parse_top_level_named(section: str, mapping: dict, spec: ComposeSpec) -> None:
-    names = spec.volumes if section == "volumes" else spec.networks
+    names = getattr(spec, section)
     for name, body in mapping.items():
         name = _require_str(name, f"{section} key {name!r}")
         names.append(name)
@@ -203,14 +203,12 @@ def _parse_services(mapping: dict, spec: ComposeSpec) -> None:
                 entry.build = _parse_build(value, name, path, spec)
             elif key == "container_name":
                 entry.container_name = _require_str(value, path)
-            elif key == "depends_on":
-                entry.depends_on = _parse_names(value, name, key, path, spec)
+            elif key in ("depends_on", "networks"):
+                setattr(entry, key, _parse_names(value, name, key, path, spec))
             elif key == "links":
                 entry.links = _parse_links(value, name, path, spec)
             elif key == "volumes":
                 entry.volumes = _parse_mounts(value, name, path, spec)
-            elif key == "networks":
-                entry.networks = _parse_names(value, name, key, path, spec)
             else:
                 spec.residue[("services", name, key)] = value
 
@@ -223,12 +221,10 @@ def _parse_build(value, svc: str, path: str, spec: ComposeSpec) -> BuildRef:
             raise SchemaError(path, "build mapping requires a context")
         context = _require_str(value["context"], f"{path}.context")
         dockerfile = None
+        if "dockerfile" in value:
+            dockerfile = _require_str(value["dockerfile"], f"{path}.dockerfile")
         for key, sub in value.items():
-            if key == "context":
-                continue
-            if key == "dockerfile":
-                dockerfile = _require_str(sub, f"{path}.dockerfile")
-            else:
+            if key not in ("context", "dockerfile"):
                 spec.residue[("services", svc, "build", key)] = sub
         return BuildRef(context=context, dockerfile=dockerfile)
     raise SchemaError(path, f"must be a string or mapping, got {type(value).__name__}")
@@ -264,58 +260,44 @@ def _parse_links(value, svc: str, path: str, spec: ComposeSpec) -> list[str]:
 
 
 def _parse_mounts(value, svc: str, path: str, spec: ComposeSpec) -> list[MountRef]:
-    """Keep named-volume mounts; bind mounts and anything unrecognized are residue."""
+    """Keep named-volume mounts; bind mounts and anything unrecognized are residue.
+
+    The syntaxes differ only in the split: ``VOLUME:TARGET[:MODE]`` needs a
+    non-empty target, ``type: volume`` a string source and target. MODE and the
+    long form's other keys are residue under ``VOLUME:TARGET``, so repeats are refused.
+    """
     if not isinstance(value, list):
         raise SchemaError(path, f"must be a list, got {type(value).__name__}")
     mounts: list[MountRef] = []
     passthrough: list[object] = []
-    # a mount's options are residue keyed by volume:target, so a repeat would
-    # share the first one's key
     seen: set[MountRef] = set()
     for item in value:
-        mount = None
+        source = None
         if isinstance(item, str):
-            mount = _parse_short_mount(item, svc, spec)
-        elif isinstance(item, dict):
-            mount = _parse_long_mount(item, svc, spec)
-        if mount is not None:
-            if mount in seen:
-                raise SchemaError(path, f"mounts {mount.volume}:{mount.target} twice")
-            seen.add(mount)
-            mounts.append(mount)
-        else:
+            head, _, rest = item.partition(":")
+            target, sep, mode = rest.partition(":")
+            if target:
+                source, options = head, ({"mode": mode} if sep else None)
+        elif isinstance(item, dict) and item.get("type") == "volume":
+            target, options = item.get("target"), item
+            if isinstance(target, str):
+                source = item.get("source")
+        if not isinstance(source, str) or not _NAMED_VOLUME_RE.fullmatch(source):
             passthrough.append(item)
+            continue
+        mount = MountRef(source, target)
+        if mount in seen:
+            raise SchemaError(path, f"mounts {source}:{target} twice")
+        seen.add(mount)
+        mounts.append(mount)
+        if options:
+            key = f"{source}:{target}"
+            for option, sub in options.items():
+                if option not in ("type", "source", "target"):
+                    spec.residue[("services", svc, "volumes", key, option)] = sub
     if passthrough:
         spec.residue[("services", svc, "volumes")] = passthrough
     return mounts
-
-
-def _parse_short_mount(item: str, svc: str, spec: ComposeSpec) -> MountRef | None:
-    source, sep, rest = item.partition(":")
-    if not sep or not _NAMED_VOLUME_RE.fullmatch(source):
-        return None
-    target, sep, mode = rest.partition(":")
-    if not target:
-        return None
-    if sep:
-        spec.residue[("services", svc, "volumes", f"{source}:{target}", "mode")] = mode
-    return MountRef(volume=source, target=target)
-
-
-def _parse_long_mount(item: dict, svc: str, spec: ComposeSpec) -> MountRef | None:
-    if item.get("type") != "volume":
-        return None
-    source = item.get("source")
-    target = item.get("target")
-    if not isinstance(source, str) or not isinstance(target, str):
-        return None
-    if not _NAMED_VOLUME_RE.fullmatch(source):
-        return None
-    for key, sub in item.items():
-        if key in ("type", "source", "target"):
-            continue
-        spec.residue[("services", svc, "volumes", f"{source}:{target}", key)] = sub
-    return MountRef(volume=source, target=target)
 
 
 def validate(spec: ComposeSpec, strict: bool = False) -> list[ValidationIssue]:
@@ -512,10 +494,10 @@ def spec_to_mapping(spec: ComposeSpec) -> dict:
     doc["services"] = {
         name: _service_body(groups, name, entry) for name, entry in spec.services.items()
     }
-    if spec.volumes:
-        doc["volumes"] = {name: groups.get(("volumes", name)) or None for name in spec.volumes}
-    if spec.networks:
-        doc["networks"] = {name: groups.get(("networks", name)) or None for name in spec.networks}
+    for section in ("volumes", "networks"):
+        names = getattr(spec, section)
+        if names:
+            doc[section] = {name: groups.get((section, name)) or None for name in names}
     return doc
 
 

@@ -276,6 +276,18 @@ class TestInvert:
         recovered = lower(parse_compose(out))
         assert model_equal(original, recovered)
 
+    def test_script_saved_with_a_byte_order_mark_reads_as_the_plain_one(self, capsys, tmp_path):
+        descriptor = str(CORPUS / "lamp.yml")
+        plain, marked = tmp_path / "plain.dac", tmp_path / "marked.dac"
+        run(capsys, "generate", "-i", descriptor, "-o", str(plain))
+        marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfwith DaC(")
+        assert run(capsys, "diff", "-i", str(plain), "-i", str(marked))[0] == EXIT_OK
+        assert run(capsys, "check", "-i", str(marked), "-i", descriptor)[0] == EXIT_OK
+        expected = run(capsys, "invert", "-i", str(plain))
+        assert expected[0] == EXIT_OK
+        assert run(capsys, "invert", "-i", str(marked)) == expected
+
     def test_header_only_script(self, capsys, tmp_path):
         script = tmp_path / "empty.dac"
         script.write_text('with DaC("t", direction="TB"):\n  pass\n', encoding="utf-8")

@@ -189,6 +189,35 @@ class TestParse:
             {"type": "bind", "source": "./logs", "target": "/logs"},
         ]
 
+    @pytest.mark.parametrize(
+        "item, mounts, options",
+        [
+            ("data", [], {}),
+            ("data::ro", [], {}),
+            (":/x", [], {}),
+            ("data:/y:rw:z", [MountRef("data", "/y")], {("data:/y", "mode"): "rw:z"}),
+            ("{type: volume, target: /t}", [], {}),
+            ("{type: volume, source: data}", [], {}),
+            (
+                "{type: volume, source: data, target: 'c:d', volume: {nocopy: true}}",
+                [MountRef("data", "c:d")],
+                {("data:c:d", "volume"): {"nocopy": True}},
+            ),
+            ("7", [], {}),
+            ("[a]", [], {}),
+        ],
+    )
+    def test_each_mount_form_is_a_mount_or_kept_verbatim(self, item, mounts, options):
+        # either syntax is split, then one named-volume rule applies; what is
+        # declined stays residue as written
+        spec = parse_compose(f"services:\n  app:\n    image: a\n    volumes:\n      - {item}\n")
+        assert spec.services["app"].volumes == mounts
+        residue = {("services", "app", "volumes", *key): value for key, value in options.items()}
+        if not mounts:
+            residue[("services", "app", "volumes")] = [yaml.safe_load(item)]
+        assert spec.residue == residue
+        assert parse_compose(serialize_compose(spec)) == spec
+
     def test_service_network_bodies_are_residue(self):
         spec = parse_compose(
             "services:\n"

@@ -1076,3 +1076,36 @@ def test_one_pass_reader_reads_like_the_event_path(backend):
         check()
     # the property is about the reader: most dumped documents must not reach the event path
     assert sum(read_plain) > 0.6 * len(read_plain), f"{sum(read_plain)} of {len(read_plain)} read in one pass"
+
+
+def _outcome(load, text: str):
+    try:
+        return "value", load(text)
+    except ComposeSyntaxError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "k: 'a'b'\n",
+        "'abc: 1\n",
+        "\n".join(" " * level + "a:" for level in range(101)) + " x\n",
+        "\n".join(" " * level + "a:" for level in range(99)) + "\n" + " " * 99 + "- - x\n",
+        "  a: 1\nb: 2\n",
+    ],
+    ids=["quote_inside_quotes", "unclosed_quoted_key", "101_mappings_deep", "99_mappings_then_a_nested_list", "dedent_past_the_root"],
+)
+def test_one_pass_reader_declines_to_the_event_path(yaml_backend, text):
+    assert yaml_io._read(text) is None
+    assert _outcome(yaml_io.load, text) == _outcome(yaml_io._load_events, text)
+
+
+def test_writer_declines_a_long_spaced_text(yaml_backend):
+    doc = {"k": "a " * 1500}
+    assert yaml_io._text(doc) is None
+    assert yaml_io.dump(doc) == reference_dump(doc)
+
+
+def test_a_service_entry_leaves_equality_with_other_types_to_them():
+    assert ServiceEntry().__eq__(1) is NotImplemented
