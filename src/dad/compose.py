@@ -136,7 +136,9 @@ def issues_ok(issues: list[ValidationIssue]) -> bool:
 
 def _load_yaml(text: str):
     """The single YAML document in ``text`` (None when there is none)."""
-    from . import yaml_io  # PyYAML is imported with the first YAML read or written
+    # loaded with the first YAML read or written; it imports PyYAML only for a
+    # document its one-pass reader declines or its writer leaves to yaml.dump
+    from . import yaml_io
 
     return yaml_io.load(text)
 
@@ -569,7 +571,7 @@ def _mount_item(groups: dict[ResiduePath, dict], owner: ResiduePath, mount: Moun
 
 
 def dump_yaml(doc: dict) -> str:
-    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with ``yaml_io._ComposeDumper``."""
+    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with dad's dumper (``yaml_io.dump``)."""
     from . import yaml_io
 
     return yaml_io.dump(doc)

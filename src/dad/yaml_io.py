@@ -6,56 +6,168 @@ line by line in one pass, with no parser events. It declines every other
 document and every malformed one, and those go to the event path: a document
 built straight from the parser's events, with none of PyYAML's composer or
 constructor, by libyaml's parser when PyYAML was built with it and by
-PyYAML's pure-Python parser otherwise. Both paths type scalars through one
-resolver and one constructor (``_resolve``, ``_CONSTRUCTOR``), so they give
-equal values; every syntax error, with its line and column, comes from the
-event path.
+PyYAML's pure-Python parser otherwise. Both paths, and the writer, type
+plain scalars by PyYAML's YAML 1.1 rules, copied here: ``_resolve`` gives the
+tag, and ``_CONSTRUCTORS`` the value of a null, bool, int or float, or of a
+date through PyYAML's ``SafeConstructor``; ``_read`` declines the other
+tags (``<<``, ``=``), and on the event path ``SafeConstructor`` builds every
+explicit tag dad does not. So both paths give equal values; every syntax
+error, with its line and column, comes from the event path.
 ``dump`` writes a document of dicts, lists, strings, ints, floats, bools and
 None as text in one pass, and hands any other document to ``yaml.dump`` with
-dad's dumper; the bytes are the same either way. ``dad.compose`` imports this
-module on its first load or dump, so a command that reads no YAML never
-imports PyYAML.
+dad's dumper; the bytes are the same either way. Only the event path, a
+date and that ``yaml.dump`` call import PyYAML (``_pyyaml``), so a command
+that reads and writes block-style descriptors without dates never does.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-
-import yaml
-from yaml.constructor import SafeConstructor
-from yaml.events import (
-    AliasEvent,
-    MappingEndEvent,
-    MappingStartEvent,
-    ScalarEvent,
-    SequenceEndEvent,
-    StreamEndEvent,
-)
-from yaml.nodes import ScalarNode
-from yaml.resolver import Resolver
+import types
 
 from .errors import ComposeSyntaxError, EmitError
 
-if yaml.__with_libyaml__:
-    from yaml._yaml import CParser as _Parser
+_STR_TAG = "tag:yaml.org,2002:str"
+_NULL_TAG = "tag:yaml.org,2002:null"
+_BOOL_TAG = "tag:yaml.org,2002:bool"
+_INT_TAG = "tag:yaml.org,2002:int"
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+_TIMESTAMP_TAG = "tag:yaml.org,2002:timestamp"
 
-    _DumperBase = yaml.CSafeDumper
-else:
-    # only its Reader, Scanner and Parser are used; the Reader refuses
-    # non-printable text when the parser is made
-    _Parser = yaml.SafeLoader
-    _DumperBase = yaml.SafeDumper
+# PyYAML's YAML 1.1 implicit resolvers (yaml/resolver.py) with their pattern
+# text, by first character in Resolver's order, but for its "yaml" resolver of
+# "!", "&" and "*": a plain scalar cannot start with those indicators.
+_IMPLICIT: dict[str, list[tuple[str, re.Pattern]]] = {}
+for _tag, _pattern, _firsts in (
+    (_BOOL_TAG, re.compile(r'''^(?:yes|Yes|YES|no|No|NO
+                    |true|True|TRUE|false|False|FALSE
+                    |on|On|ON|off|Off|OFF)$''', re.X), "yYnNtTfFoO"),
+    (_FLOAT_TAG, re.compile(r'''^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
+                    |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+                    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+                    |[-+]?\.(?:inf|Inf|INF)
+                    |\.(?:nan|NaN|NAN))$''', re.X), "-+0123456789."),
+    (_INT_TAG, re.compile(r'''^(?:[-+]?0b[0-1_]+
+                    |[-+]?0[0-7_]+
+                    |[-+]?(?:0|[1-9][0-9_]*)
+                    |[-+]?0x[0-9a-fA-F_]+
+                    |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+)$''', re.X), "-+0123456789"),
+    (_MERGE_TAG, re.compile(r"^(?:<<)$"), "<"),
+    (_NULL_TAG, re.compile(r'''^(?: ~
+                    |null|Null|NULL
+                    | )$''', re.X), ("~", "n", "N", "")),
+    (_TIMESTAMP_TAG, re.compile(r'''^(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+                    |[0-9][0-9][0-9][0-9] -[0-9][0-9]? -[0-9][0-9]?
+                     (?:[Tt]|[ \t]+)[0-9][0-9]?
+                     :[0-9][0-9] :[0-9][0-9] (?:\.[0-9]*)?
+                     (?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)$''', re.X), "0123456789"),
+    ("tag:yaml.org,2002:value", re.compile(r"^(?:=)$"), "="),
+):
+    for _first in _firsts:
+        _IMPLICIT.setdefault(_first, []).append((_tag, _pattern))
 
 
-# The tags and values of scalars, on both read paths: the resolver gives a
-# plain scalar's tag from its text, and the constructor of that tag its value.
-_PLAIN = (True, False)  # resolve() reads the text as a plain scalar
-_resolve = Resolver().resolve
-_CONSTRUCTOR = SafeConstructor()
-# The first characters that have implicit resolvers. Resolver has no wildcard
-# resolver, so a text that starts with any other character reads as a string.
-_RESOLVED_FIRSTS = frozenset(Resolver.yaml_implicit_resolvers)
+def _resolve(text: str) -> str:
+    """The tag PyYAML's ``Resolver`` gives the plain scalar ``text``."""
+    for tag, pattern in _IMPLICIT.get(text[:1], ()):
+        if pattern.match(text):
+            return tag
+    return _STR_TAG
+
+
+# The values of the plain tags dad constructs, as SafeConstructor's methods
+# give them for any text, raising where they raise.
+_INF = float("inf")
+_NAN = -_INF / _INF  # SafeConstructor.nan_value, sign bit included
+_BOOLS = {"yes": True, "no": False, "true": True, "false": False, "on": True, "off": False}
+
+
+def _base60(digits: list, value):
+    base = 1
+    for digit in reversed(digits):
+        value += digit * base
+        base *= 60
+    return value
+
+
+def _int(text: str) -> int:
+    value = text.replace("_", "")
+    sign = -1 if value[0] == "-" else 1
+    if value[0] in "+-":
+        value = value[1:]
+    if value == "0":
+        return 0
+    if value.startswith("0b"):
+        return sign * int(value[2:], 2)
+    if value.startswith("0x"):
+        return sign * int(value[2:], 16)
+    if value[0] == "0":
+        return sign * int(value, 8)
+    if ":" in value:
+        return sign * _base60([int(part) for part in value.split(":")], 0)
+    return sign * int(value)
+
+
+def _float_value(text: str) -> float:
+    value = text.replace("_", "").lower()
+    sign = -1 if value[0] == "-" else 1
+    if value[0] in "+-":
+        value = value[1:]
+    if value == ".inf":
+        return sign * _INF
+    if value == ".nan":
+        return _NAN
+    if ":" in value:
+        return sign * _base60([float(part) for part in value.split(":")], 0.0)
+    return sign * float(value)
+
+
+def _timestamp(text: str):
+    # dates are rare in descriptors, so PyYAML builds them, imported with the first
+    pyyaml = _pyyaml()
+    return pyyaml.constructor.construct_yaml_timestamp(pyyaml.yaml.ScalarNode(_TIMESTAMP_TAG, text))
+
+
+_CONSTRUCTORS = {
+    _NULL_TAG: lambda text: None,
+    _BOOL_TAG: lambda text: _BOOLS[text.lower()],
+    _INT_TAG: _int,
+    _FLOAT_TAG: _float_value,
+    _TIMESTAMP_TAG: _timestamp,
+}
+
+
+@functools.cache
+def _pyyaml() -> types.SimpleNamespace:
+    """PyYAML imported on first use (~12 ms of a cold start), and dad's objects made from it.
+
+    ``Parser`` and ``Dumper`` are libyaml's when PyYAML was built with it and
+    pure-Python otherwise; ``constructor`` builds dates and the explicit tags
+    dad does not.
+    """
+    import yaml
+    from yaml.constructor import SafeConstructor
+
+    if yaml.__with_libyaml__:
+        from yaml._yaml import CParser as parser
+
+        dumper_base = yaml.CSafeDumper
+    else:
+        # only its Reader, Scanner and Parser are used; the Reader refuses
+        # non-printable text when the parser is made
+        parser, dumper_base = yaml.SafeLoader, yaml.SafeDumper
+
+    class _ComposeDumper(dumper_base):
+        pass
+
+    # Compose style: empty values render as a bare key rather than an explicit null.
+    _ComposeDumper.add_representer(type(None), lambda dumper, _: dumper.represent_scalar(_NULL_TAG, ""))
+    _ComposeDumper.add_representer(set, _represent_set)
+    _ComposeDumper.add_representer(list, _represent_list)
+    return types.SimpleNamespace(yaml=yaml, Parser=parser, Dumper=_ComposeDumper, constructor=SafeConstructor())
+
 
 # The printable part of the basic plane but for its line breaks and the byte
 # order mark: non-ASCII text both emitters write as it is with allow_unicode
@@ -82,9 +194,6 @@ def _wide() -> tuple[re.Pattern, re.Pattern]:
 # does, for the documents ``dump`` hands it).
 _MAX_DEPTH = 100
 
-_STR_TAG = "tag:yaml.org,2002:str"
-_NULL_TAG = "tag:yaml.org,2002:null"
-_MERGE_TAG = "tag:yaml.org,2002:merge"
 _MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
 _SEQ_TAGS = (None, "!", "tag:yaml.org,2002:seq")
 _SET_TAG = "tag:yaml.org,2002:set"
@@ -157,11 +266,11 @@ def _single_pair(item, mark):
     return next(iter(item.items()))
 
 
-def _open(event, parent: _Open | None) -> _Open:
+def _open(event, is_mapping: bool, parent: _Open | None) -> _Open:
     """The collection a start event opens; its tag picks what it loads as."""
     tag, mark = event.tag, event.start_mark
     merge_value = parent is not None and parent.key is _MERGE
-    if event.__class__ is MappingStartEvent:
+    if is_mapping:
         if tag in _MAP_TAGS:
             # the sources of a merge key (<<) may repeat keys, as PyYAML allowed
             unique = not (merge_value or (parent is not None and parent.check is _merge_source))
@@ -183,15 +292,18 @@ def _open(event, parent: _Open | None) -> _Open:
     raise _syntax_error(f"could not determine a constructor for the tag {tag!r} on a {kind}", mark)
 
 
-def _construct_scalar(tag: str, event):
+def _construct_scalar(tag: str, event, pyyaml):
     if tag in _COLLECTION_KINDS:
         kind = _COLLECTION_KINDS[tag]
         raise _syntax_error(f"expected a {kind} node, but found scalar", event.start_mark)
-    construct = SafeConstructor.yaml_constructors.get(tag, SafeConstructor.construct_undefined)
-    node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, style=event.style)
+    construct = _CONSTRUCTORS.get(tag)
     try:
-        return construct(_CONSTRUCTOR, node)
-    except yaml.YAMLError:
+        if construct is not None:
+            return construct(event.value)
+        safe = pyyaml.constructor  # the tags dad does not construct: !!binary, !!str, ...
+        node = pyyaml.yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark, style=event.style)
+        return safe.yaml_constructors.get(tag, type(safe).construct_undefined)(safe, node)
+    except pyyaml.yaml.YAMLError:
         raise
     except Exception as exc:  # e.g. int("abc") for !!int 'abc': the input is at fault
         raise _syntax_error(f"cannot read {event.value!r} as {tag}", event.start_mark) from exc
@@ -240,13 +352,16 @@ def _refuse_cycle(stack: list[_Open], target: _Open, merging: bool) -> None:
             return
 
 
-def _build(parser):
+def _build(parser, pyyaml):
     """Build the stream's one document from its events on an explicit stack.
 
     Mapping keys must be hashable and unique; aliases return the anchored
     object itself. Nothing recurses, and more than ``_MAX_DEPTH`` open
     collections raise ``ComposeSyntaxError("nesting too deep")``.
     """
+    y = pyyaml.yaml
+    ScalarEvent, AliasEvent, StreamEndEvent = y.ScalarEvent, y.AliasEvent, y.StreamEndEvent
+    MappingStartEvent, MappingEndEvent, SequenceEndEvent = y.MappingStartEvent, y.MappingEndEvent, y.SequenceEndEvent
     get_event, resolve = parser.get_event, _resolve
     get_event()  # StreamStartEvent
     if get_event().__class__ is StreamEndEvent:  # else it was the DocumentStartEvent
@@ -261,13 +376,12 @@ def _build(parser):
         if cls is ScalarEvent:
             value, tag, mark = event.value, event.tag, event.start_mark
             if tag is None or tag == "!":
-                implicit = event.implicit
-                if implicit[0]:  # the tag of a plain scalar depends on its text alone
+                if event.implicit[0]:  # the tag of a plain scalar depends on its text alone
                     tag = plain_tags.get(value)
                     if tag is None:
-                        tag = plain_tags[value] = resolve(ScalarNode, value, implicit)
+                        tag = plain_tags[value] = resolve(value)
                 else:
-                    tag = resolve(ScalarNode, value, implicit)
+                    tag = _STR_TAG
             anchor = event.anchor
             if anchor is not None and anchor in anchors:
                 raise _syntax_error(f"found duplicate anchor {anchor!r}", mark)
@@ -275,7 +389,7 @@ def _build(parser):
                 if tag == _MERGE_TAG and top is not None and top.key is _KEY:
                     top.key = _MERGE
                     continue
-                value = _construct_scalar(tag, event)
+                value = _construct_scalar(tag, event, pyyaml)
             if anchor is not None:
                 anchors[anchor] = (value, mark, None)
         elif cls is MappingEndEvent or cls is SequenceEndEvent:
@@ -299,7 +413,7 @@ def _build(parser):
             anchor = event.anchor
             if anchor is not None and anchor in anchors:
                 raise _syntax_error(f"found duplicate anchor {anchor!r}", event.start_mark)
-            top = _open(event, top)
+            top = _open(event, cls is MappingStartEvent, top)
             stack.append(top)
             if anchor is not None:
                 anchors[anchor] = (top.value, top.mark, top)
@@ -348,15 +462,17 @@ _UNANCHORED = frozenset((str, int, float, bool, type(None)))
 _NOTHING = object()  # no value: a text _read leaves to the event path, or no key waiting
 
 
-def _scalar_value(token: str):
+def _scalar_value(token: str, build: bool = True):
     """The value of ``token``, a one-line scalar in block context.
 
-    Plain text gets its tag from the resolver and its value from the
-    constructor of that tag, as on the event path; a plain string is
+    Plain text gets its tag from ``_resolve`` and its value from that tag's
+    entry in ``_CONSTRUCTORS``, as on the event path; a plain string is
     ``token`` itself. ``_NOTHING`` when the text is not a complete plain,
     single-quoted or backslash-free double-quoted scalar, or when its tag has
-    no constructor (``<<``, ``=``) or the constructor fails: the event path
-    reports those. The shape rules are those of PyYAML's
+    no entry there (``<<``, ``=``) or the constructor fails: the event path
+    reports those. With ``build`` false, any plain text of another tag than
+    str is ``_NOTHING`` unconstructed, so writing a date-like string imports
+    no PyYAML. The shape rules are those of PyYAML's
     ``Emitter.analyze_scalar`` and libyaml's ``yaml_emitter_analyze_scalar``
     but the document markers, so ``_scalar`` writes by them too.
     """
@@ -383,18 +499,18 @@ def _scalar_value(token: str):
         or " #" in token
     ):
         return _NOTHING
-    if first not in _RESOLVED_FIRSTS:
+    if first not in _IMPLICIT:
         return token
-    tag = _resolve(ScalarNode, token, _PLAIN)
+    tag = _resolve(token)
     if tag == _STR_TAG:
         return token
-    construct = SafeConstructor.yaml_constructors.get(tag)
-    if construct is None:
+    construct = _CONSTRUCTORS.get(tag)
+    if construct is None or not build:
         return _NOTHING
     try:
-        return construct(_CONSTRUCTOR, ScalarNode(tag, token))
-    except Exception:  # e.g. the date 2001-02-30; the event path reports it
-        return _NOTHING
+        return construct(token)
+    except Exception:  # e.g. 0b_, 2001-02-30, or a float whose base-60 sum overflows:
+        return _NOTHING  # the event path reports it
 
 
 def _split(content: str) -> tuple:
@@ -605,11 +721,12 @@ def load(text: str):
 
 def _load_events(text: str):
     """``load`` on the event path: the documents ``_read`` declines, and every syntax error."""
+    pyyaml = _pyyaml()
     parser = None
     try:
-        parser = _Parser(text)  # the pure-Python reader refuses non-printable text here
-        return _build(parser)
-    except yaml.YAMLError as exc:
+        parser = pyyaml.Parser(text)  # the pure-Python reader refuses non-printable text here
+        return _build(parser, pyyaml)
+    except pyyaml.yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         problem = getattr(exc, "problem", None) or "invalid YAML"
         if mark is not None:
@@ -620,22 +737,12 @@ def _load_events(text: str):
             parser.dispose()
 
 
-class _ComposeDumper(_DumperBase):
-    pass
-
-
-# Compose style: empty values render as a bare key rather than an explicit null.
-_ComposeDumper.add_representer(
-    type(None), lambda dumper, _: dumper.represent_scalar(_NULL_TAG, "")
-)
-
-
-def _represent_set(dumper: _ComposeDumper, data: set) -> yaml.Node:
+def _represent_set(dumper, data: set):
     # a set iterates in string-hash order, which changes from run to run
     return dumper.represent_set(sorted(data, key=lambda item: (type(item).__name__, repr(item))))
 
 
-def _represent_list(dumper: _ComposeDumper, data: list) -> yaml.Node:
+def _represent_list(dumper, data: list):
     # !!omap and !!pairs load as a list of 2-tuples; !!pairs brings one back
     # as that list, where a plain sequence would bring back lists
     if (
@@ -650,12 +757,7 @@ def _represent_list(dumper: _ComposeDumper, data: list) -> yaml.Node:
     return dumper.represent_sequence("tag:yaml.org,2002:seq", data)
 
 
-_ComposeDumper.add_representer(set, _represent_set)
-_ComposeDumper.add_representer(list, _represent_list)
-
-
 _WIDTH = 4096  # the line width dump asks of the emitter
-_INF = float("inf")
 # ``_text`` leaves deeper documents to yaml.dump, so a value starts before
 # column _MAX_INDENT + 248 (a key's text is at most 246 characters). A value
 # with a space that fits in _MAX_SPACED characters then ends before _WIDTH,
@@ -681,7 +783,7 @@ def _scalar(text: str) -> str | None:
         return None
     # the emitters quote the empty text, a document marker and a text that
     # _scalar_value would not read back plain as itself
-    if not text or text.startswith(("---", "...")) or _scalar_value(text) is not text:
+    if not text or text.startswith(("---", "...")) or _scalar_value(text, build=False) is not text:
         text = "'" + text.replace("'", "''") + "'"
     if len(text) > _MAX_SPACED and " " in text:
         return None
@@ -814,7 +916,7 @@ def _text(doc) -> str | None:
 
 
 def dump(doc) -> str:
-    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with ``_ComposeDumper``.
+    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with dad's dumper.
 
     ``_text`` writes the documents it covers; everything else goes to that
     ``yaml.dump`` call itself, whose recursive walk raises ``EmitError`` for
@@ -822,10 +924,11 @@ def dump(doc) -> str:
     """
     text = _text(doc)
     if text is None:
+        pyyaml = _pyyaml()
         try:
-            text = yaml.dump(
+            text = pyyaml.yaml.dump(
                 doc,
-                Dumper=_ComposeDumper,
+                Dumper=pyyaml.Dumper,
                 sort_keys=False,
                 default_flow_style=False,
                 allow_unicode=True,

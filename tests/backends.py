@@ -4,7 +4,8 @@
 it. ``python_backend`` reloads the module as if PyYAML had no libyaml and
 restores the original module afterwards. ``dad.compose`` and every module
 that imported its functions follow along, since those functions look up
-``dad.yaml_io`` and its loader and dumper classes at call time.
+``dad.yaml_io`` and its ``_pyyaml``, which makes the parser and dumper
+classes, at call time.
 """
 
 import contextlib

@@ -936,12 +936,12 @@ class TestColdProcess:
 
     def test_check_of_a_descriptor_loads_no_dataclasses_and_compiles_no_wide_class(self):
         # the wide printable classes cost ~10 ms to compile, and an ASCII
-        # descriptor never needs them
+        # descriptor never needs them; nor does a block-style one need PyYAML
         program = (
             "import sys\n"
             "from dad.cli import main\n"
             f"code = main(['check', '-i', {str(CORPUS / 'dblog.yml')!r}])\n"
-            "assert 'dad.yaml_io' in sys.modules and 'yaml' in sys.modules\n"
+            "assert 'dad.yaml_io' in sys.modules and 'yaml' not in sys.modules\n"
             "from dad import yaml_io\n"
             "compiled = yaml_io._wide.cache_info().currsize\n"
             "loaded = 'dataclasses' in sys.modules\n"
@@ -950,6 +950,82 @@ class TestColdProcess:
         proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "verdict: Consistent" in proc.stdout
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.yml")), ids=lambda path: path.stem)
+    def test_generate_and_invert_of_a_corpus_file_import_no_yaml(self, tmp_path, path):
+        # every corpus file takes the one-pass reader, and every descriptor
+        # dad writes back from its diagram the one-pass writer
+        script, back = tmp_path / "s.dac", tmp_path / "back.yml"
+        program = (
+            "import sys\n"
+            "from dad.cli import main\n"
+            f"codes = [main(['generate', '-i', {str(path)!r}, '-o', {str(script)!r}])]\n"
+            "if codes[0] == 0:\n"
+            f"    codes.append(main(['invert', '-i', {str(script)!r}, '-o', {str(back)!r}]))\n"
+            "print(codes)\n"
+            "sys.exit('yaml imported' if 'yaml' in sys.modules else 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == ("[2]" if path.stem == "cyclic" else "[0, 0]")
+
+    # A document the one-pass reader declines (an anchor) or one with a date,
+    # which PyYAML builds, still imports PyYAML, with the same output.
+    CONVERSE = {
+        "anchored": (
+            "x-logging: &log {driver: json-file}\n"
+            "services:\n  web:\n    image: nginx:1.25\n    logging: *log\n    depends_on:\n      - db\n"
+            "  db:\n    image: postgres:15\n    logging: *log\n",
+            "compared: left 2 nodes / 1 edges, right 2 nodes / 1 edges\n"
+            "note: residue excluded from diagram: x-logging\n"
+            "note: residue excluded from diagram: services.web.logging\n"
+            "note: residue excluded from diagram: services.db.logging\n",
+        ),
+        "dated": (
+            "services:\n  web:\n    image: nginx:1.25\n    labels:\n      released: 2024-01-15\n"
+            "    depends_on:\n      - db\n  db:\n    image: postgres:15\nx-released: 2024-01-15\n",
+            "compared: left 2 nodes / 1 edges, right 2 nodes / 1 edges\n"
+            "note: residue excluded from diagram: services.web.labels\n"
+            "note: residue excluded from diagram: x-released\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CONVERSE)
+    def test_a_document_past_the_one_pass_paths_imports_yaml(self, tmp_path, name):
+        text, notes = self.CONVERSE[name]
+        path = tmp_path / f"{name}.yml"
+        path.write_text(text, encoding="utf-8")
+        expected = {
+            "check": "verdict: Consistent\n" + notes,
+            "generate": (
+                f'with DaC("{name}", direction="TB"):\n'
+                '  with Cluster("web service"):\n    web = Server("web")  # image=nginx:1.25\n'
+                '  with Cluster("db service"):\n    db = Server("db")  # image=postgres:15\n'
+                "  web >> db\n"
+            ),
+        }
+        for command, stdout in expected.items():
+            program = (
+                "import sys\n"
+                "from dad.cli import main\n"
+                f"code = main([{command!r}, '-i', {str(path)!r}])\n"
+                "sys.exit(code if 'yaml' in sys.modules else 'yaml not imported')\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, stdout, ""), command
+
+    def test_a_quoted_date_reads_and_writes_back_without_yaml(self):
+        # PyYAML builds only a plain date; the writer quotes a date-like
+        # string by its tag alone, without building the date
+        program = (
+            "import sys\n"
+            "from dad import yaml_io\n"
+            "text = \"k: '2001-12-14'\\n\"\n"
+            "assert yaml_io.dump(yaml_io.load(text)) == text\n"
+            "sys.exit('yaml imported' if 'yaml' in sys.modules else 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
 
     def test_diff_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         pair = perfbench_gen().drift_pair(random.Random(5), 60, 0.5)

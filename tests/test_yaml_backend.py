@@ -9,7 +9,9 @@ references are kept below.
 
 import datetime
 import functools
+import math
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -18,6 +20,8 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from dad import cli, compose, yaml_io
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, spec_to_mapping
@@ -36,16 +40,16 @@ gen = perfbench_gen()
 
 
 def test_backend_follows_libyaml_availability():
-    parser, dumper = yaml_io._Parser, yaml_io._ComposeDumper
+    parser, dumper = yaml_io._pyyaml().Parser, yaml_io._pyyaml().Dumper
     if yaml.__with_libyaml__:
         from yaml._yaml import CParser
 
         assert issubclass(parser, CParser)
         assert issubclass(dumper, yaml.CSafeDumper)
     with python_backend():
-        assert issubclass(yaml_io._Parser, yaml.SafeLoader)
-        assert issubclass(yaml_io._ComposeDumper, yaml.SafeDumper)
-    assert yaml_io._Parser is parser and yaml_io._ComposeDumper is dumper
+        assert issubclass(yaml_io._pyyaml().Parser, yaml.SafeLoader)
+        assert issubclass(yaml_io._pyyaml().Dumper, yaml.SafeDumper)
+    assert yaml_io._pyyaml().Parser is parser and yaml_io._pyyaml().Dumper is dumper
 
 
 def descriptor_texts() -> list[str]:
@@ -198,8 +202,6 @@ _REFERENCE_LOADERS = [_ReferencePythonLoader]
 if yaml.__with_libyaml__:
     from yaml._yaml import CParser
     from yaml.composer import Composer
-    from yaml.constructor import SafeConstructor
-    from yaml.resolver import Resolver
 
     class _ReferenceLibyamlLoader(CParser, Composer, SafeConstructor, Resolver):
         get_single_node = Composer.get_single_node
@@ -521,19 +523,100 @@ def test_plain_scalar_tags_are_cached_per_load(yaml_backend, monkeypatch):
     resolved = []
     resolve = yaml_io._resolve
 
-    def counting(kind, value, implicit):
-        resolved.append((value, implicit[0]))
-        return resolve(kind, value, implicit)
+    def counting(text):
+        resolved.append(text)
+        return resolve(text)
 
     monkeypatch.setattr(yaml_io, "_resolve", counting)
     text = "a: [x, x, 1, 1, 'x', 'x', ~, ~]\nx: 1\n"
     first = compose._load_yaml(text)
     calls = list(resolved)
-    # a plain text resolves once per load; a quoted scalar resolves each time
-    assert sorted(calls) == sorted([("x", False), ("x", False), ("a", True), ("x", True), ("1", True), ("~", True)])
+    # a plain text resolves once per load; a quoted scalar is a string unresolved
+    assert sorted(calls) == sorted(["a", "x", "1", "~"])
     resolved.clear()
     assert compose._load_yaml(text) == first
     assert resolved == calls  # the second load starts with an empty cache
+
+
+def test_implicit_resolvers_are_pyyaml_s():
+    def table(resolvers: dict) -> dict:
+        return {
+            first: [(tag, pattern.pattern, pattern.flags) for tag, pattern in entries]
+            for first, entries in resolvers.items()
+        }
+
+    theirs = table(Resolver.yaml_implicit_resolvers)
+    # the one gap: PyYAML's resolver for "!", "&" and "*", which only
+    # documents that a plain scalar cannot start with those indicators
+    gap = {first: theirs.pop(first) for first in "!&*"}
+    assert gap == dict.fromkeys("!&*", [("tag:yaml.org,2002:yaml", r"^(?:!|&|\*)$", re.U)])
+    assert table(yaml_io._IMPLICIT) == theirs
+    assert all(yaml_io._scalar_value(first) is yaml_io._NOTHING for first in "!&*")
+
+
+# Pieces of the int, float, bool, null and timestamp grammars and their
+# near misses: 0b2, 08, 1_: and 2001-02-30 are among the texts they make.
+SCALAR_PIECES = ["0", "1", "2", "5", "7", "8", "9", "_", "-", "+", ".", ":", "0b", "0x", "0o", "e", "E",
+                 "e+", "e-", "a", "F", "inf", "Inf", "INF", "nan", "NaN", "NAN", ".inf", "-.Inf", ".NaN",
+                 "yes", "No", "on", "OFF", "true", "null", "Null", "~", "<<", "=", "2001-02-30",
+                 "2001-12-14", "T", "t", " ", "Z", "1:30"]
+NEAR_SCALARS = st.one_of(
+    st.sampled_from(LOOKALIKES[:-2]),
+    st.lists(st.sampled_from(SCALAR_PIECES), min_size=1, max_size=6).map("".join),
+    st.text(st.sampled_from("0123456789_+-.:bxeE"), min_size=1, max_size=8),
+)
+
+
+COPIED = ("null", "bool", "int", "float")  # dates dad builds with SafeConstructor itself
+
+
+def _construct_outcome(construct, *args):
+    try:
+        value = construct(*args)
+    except (ValueError, LookupError, OverflowError):  # what SafeConstructor's methods raise on text they refuse
+        return "refused", None, None
+    # repr: NaN equals NaN, and -0.0 is not 0.0; a NaN's sign shows only through copysign
+    return type(value).__name__, repr(value), math.copysign(1.0, value) if type(value) is float else None
+
+
+def _assert_loads_alike(text: str) -> None:
+    try:
+        reference_load(text)
+    except ComposeSyntaxError:
+        pass
+    except (ValueError, LookupError, OverflowError):  # a constructor of the reference refused the text
+        with pytest.raises(ComposeSyntaxError):
+            compose._load_yaml(text)
+        return
+    assert_loads_like_reference(text)
+
+
+@pytest.mark.parametrize("backend", ["default", "python"])
+def test_plain_scalars_type_like_pyyaml(backend):
+    resolver, constructor = Resolver(), SafeConstructor()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=NEAR_SCALARS)
+    def check(text):
+        tag = yaml_io._resolve(text)
+        assert tag == resolver.resolve(yaml.ScalarNode, text, (True, False)), text
+        # each tag dad keeps its own constructor of, implicit or explicit (!!int '...'), on any text
+        for name in COPIED:
+            own = f"tag:yaml.org,2002:{name}"
+            theirs = SafeConstructor.yaml_constructors[own]
+            node = yaml.ScalarNode(own, text)
+            assert _construct_outcome(yaml_io._CONSTRUCTORS[own], text) == _construct_outcome(
+                theirs, constructor, node
+            ), (own, text)
+            _assert_loads_alike(f"k: !!{name} '{text}'\n")
+        _assert_loads_alike(f"k: {text}\n")
+        _assert_loads_alike(f"{{k: {text}}}\n")
+
+    if backend == "python":
+        with python_backend():
+            check()
+    else:
+        check()
 
 
 # The dumper dad used before it turned documents into emitter events itself.
@@ -541,7 +624,7 @@ def test_plain_scalar_tags_are_cached_per_load(yaml_backend, monkeypatch):
 def reference_dump(doc) -> str:
     return yaml.dump(
         doc,
-        Dumper=yaml_io._ComposeDumper,
+        Dumper=yaml_io._pyyaml().Dumper,
         sort_keys=False,
         default_flow_style=False,
         allow_unicode=True,
@@ -760,6 +843,32 @@ def test_read_declines_a_value_its_constructor_refuses(yaml_backend, tmp_path, c
         "verdict: Invalid\n"
         "error: cannot read '2001-02-30' as tag:yaml.org,2002:timestamp (line 5, col 14)\n"
     )
+
+
+def test_read_builds_dates_in_one_pass(yaml_backend):
+    text = (
+        "services:\n  web:\n    image: nginx\n    labels:\n      built: 2001-12-14\n"
+        "x-released: 2024-01-15\nx-when: 2001-12-14 21:59:43.10 -5\n"
+    )
+    read = yaml_io._read(text)
+    assert read is not None
+    assert_same(read, reference_load(text))
+
+
+# A sexagesimal float of 175 groups matches the float pattern, but summing it
+# overflows a float, in dad's copy of the constructor as in SafeConstructor.
+OVERFLOWING = "1" + ":0" * 174 + "."
+
+
+def test_a_float_too_long_to_sum_is_a_syntax_error_and_dumps_quoted(yaml_backend):
+    text = f"k: {OVERFLOWING}\n"
+    assert yaml_io._read(text) is None
+    with pytest.raises(ComposeSyntaxError) as raised:
+        yaml_io.load(text)
+    assert str(raised.value) == f"cannot read {OVERFLOWING!r} as tag:yaml.org,2002:float (line 1, col 4)"
+    doc = {"k": OVERFLOWING}
+    assert yaml_io.dump(doc) == reference_dump(doc)
+    assert yaml_io.load(yaml_io.dump(doc)) == doc
 
 
 # Floats the text writer writes as SafeRepresenter.represent_float does,
