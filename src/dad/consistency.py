@@ -215,14 +215,17 @@ def round_trip_check(descriptor_text: str, strict: bool = False) -> ConsistencyR
 
     try:
         original, spec, _ = compose.load_model(descriptor_text, strict)
-        script = emit_dac(original)
-        descriptor_back = emit_compose(lift(parse_dac(script.text)))
+        # the parsed descriptor and the script are let go before the later
+        # hops, so the garbage collector has less to walk while they run
+        notes = _residue_notes(spec)
+        del spec
+        descriptor_back = emit_compose(lift(parse_dac(emit_dac(original).text)))
         relowered = compose.lower(
             compose.parse_compose(descriptor_back), fallback_title=original.title
         )
     except DadError as exc:
         return ConsistencyReport(Verdict.INVALID, error=str(exc))
-    return compare_models(original, relowered, notes=_residue_notes(spec))
+    return compare_models(original, relowered, notes=notes)
 
 
 def check_diagram_against_descriptor(

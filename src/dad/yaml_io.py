@@ -2,8 +2,10 @@
 
 ``load`` first tries ``_read``, which reads a plain block-style document
 (one-line scalars, no anchors, tags or flow collections but ``{}`` and ``[]``)
-line by line in one pass, with no parser events. It declines every other
-document and every malformed one, and those go to the event path: a document
+line by line, with no parser events, in one call per collection and so at
+most ``_MAX_DEPTH`` calls deep. It declines every other document and every
+malformed one, and a caller too deep in the Python stack for that
+recursion; those go to the event path, which does not recurse: a document
 built straight from the parser's events, with none of PyYAML's composer or
 constructor, by libyaml's parser when PyYAML was built with it and by
 PyYAML's pure-Python parser otherwise. Both paths, and the writer, type
@@ -191,7 +193,7 @@ def _wide() -> tuple[re.Pattern, re.Pattern]:
 
 # Collections open at once. The limit keeps deep input from exhausting the
 # Python stack of whoever walks the loaded document recursively (yaml.dump
-# does, for the documents ``dump`` hands it).
+# does, for the documents ``dump`` hands it, and ``_read`` itself).
 _MAX_DEPTH = 100
 
 _MAP_TAGS = (None, "!", "tag:yaml.org,2002:map")
@@ -459,7 +461,7 @@ _SIMPLE_KEY = 1024
 # Values PyYAML's representer never writes as an anchor and alias, so one
 # object may stand for every occurrence of a scalar text.
 _UNANCHORED = frozenset((str, int, float, bool, type(None)))
-_NOTHING = object()  # no value: a text _read leaves to the event path, or no key waiting
+_NOTHING = object()  # no value: a text _read leaves to the event path
 
 
 def _scalar_value(token: str, build: bool = True):
@@ -577,11 +579,8 @@ def _line_shape(line: str):
     return shape
 
 
-def _put(collection, key, value) -> None:
-    if collection.__class__ is dict:
-        collection[key] = value
-    else:
-        collection.append(value)
+class _Decline(Exception):
+    """``_read`` leaves the text to the event path."""
 
 
 def _read(text: str):
@@ -597,7 +596,10 @@ def _read(text: str):
     a trailing comment, tabs, other line breaks, a byte order mark, document
     markers and directives, an indent no open collection has, nesting deeper
     than ``_MAX_DEPTH`` and the empty document. So it raises nothing: every
-    error comes from the event path.
+    error comes from the event path. One call of ``block`` reads each
+    collection, so the recursion is bounded by ``_MAX_DEPTH``; a caller too
+    deep in the stack for it gets None too, and the event path, which does
+    not recurse, reads the text.
     """
     if text.isascii():
         if text.encode().translate(None, _ASCII_LINES):
@@ -605,112 +607,85 @@ def _read(text: str):
     elif _wide()[1].fullmatch(text) is None:
         return None
     shapes: dict = {}  # a line -> its _line_shape; descriptors repeat most lines
-    values: dict = {}  # text of a scalar -> its value, when _UNANCHORED
-    stack: list = []  # the open collections, outermost first
-    columns: list[int] = []  # the column of each
-    pending = _NOTHING  # the key of stack[-1] (_ITEM in a list) whose value starts on a later line
-
-    def scalar(token: str):
-        value = _scalar_value(token)
-        if value.__class__ in _UNANCHORED:
-            values[token] = value
-        return value
-
-    def value_of(token: str):
-        if token == "{}" or token == "[]":
-            if len(stack) == _MAX_DEPTH:
-                return _NOTHING
-            return {} if token == "{}" else []
-        return scalar(token)
-
+    rows: list = []  # the shape of each line that is not blank or a comment
     for line in text.split("\n"):
         shape = shapes.get(line)
         if shape is None:
             shape = shapes[line] = _line_shape(line)
-        if not shape:
-            if shape is False:
-                return None
-            continue
+        if shape:
+            rows.append(shape)
+        elif shape is False:
+            return None
+    if not rows:
+        return None
+    end = len(rows)
+    values: dict = {}  # text of a scalar -> its value, when _UNANCHORED
+
+    def scalar(token: str):
+        value = values.get(token, _NOTHING)
+        if value is _NOTHING:
+            value = _scalar_value(token)
+            if value is _NOTHING:
+                raise _Decline
+            if value.__class__ in _UNANCHORED:
+                values[token] = value
+        return value
+
+    def value_of(token: str, depth: int):
+        if token == "{}" or token == "[]":
+            if depth == _MAX_DEPTH:
+                raise _Decline
+            return {} if token == "{}" else []
+        return scalar(token)
+
+    def later(column: int, row: int, depth: int, indentless: bool):
+        # the value of a bare "key:" or "-": the collection on the lines below,
+        # or a list at the key's own column (key:\n- item), else None
+        if row < end:
+            shape = rows[row]
+            if shape[0] > column or (indentless and shape[0] == column and shape[1] is _ITEM):
+                return block(shape, row + 1, depth + 1)
+        return None, row
+
+    def block(shape, row: int, depth: int):
+        # the collection whose first line has ``shape``, and the index of the
+        # first row after it: the rows at its column and of its kind
+        if depth > _MAX_DEPTH:
+            raise _Decline
         column, kind, rest = shape
         entry = kind is _ITEM
-        # find the collection the line goes on, closing the deeper ones
-        if not stack:  # the first line opens the top collection
-            stack.append([] if entry else {})
-            columns.append(column)
+        collection = [] if entry else {}
         while True:
-            top, top_column = stack[-1], columns[-1]
-            if pending is not _NOTHING:
-                if column > top_column or (column == top_column and entry and top.__class__ is dict):
-                    if len(stack) == _MAX_DEPTH:
-                        return None
-                    child = [] if entry else {}
-                    _put(top, pending, child)
-                    pending = _NOTHING
-                    stack.append(child)
-                    columns.append(column)
-                    break
-                _put(top, pending, None)
-                pending = _NOTHING
-            if column == top_column and (top.__class__ is list) is entry:
-                break
-            # a line left of the collection closes it, and so does a key at the
-            # column of an indentless sequence (key:\n- item)
-            if column > top_column:
-                return None
-            stack.pop()
-            columns.pop()
-            if not stack:
-                return None
-
-        top = stack[-1]
-        # an entry of a list: "-" alone, a scalar, or "- - ..." and "- k: ..."
-        # opening a collection at the column after the dash
-        while kind is _ITEM:
-            if rest is None:
-                pending = _ITEM
-                break
-            column, kind, rest = rest
-            if kind is _ITEM:
-                child = []
-            elif kind is None:
-                value = values.get(rest, _NOTHING)
-                if value is _NOTHING:
-                    value = value_of(rest)
-                    if value is _NOTHING:
-                        return None
-                top.append(value)
-                break
+            if entry:  # "-" alone, a scalar, or "- - ..." and "- k: ..." opening a collection
+                if rest is None:
+                    value, row = later(column, row, depth, False)
+                elif rest[1] is None:
+                    value = value_of(rest[2], depth)
+                else:
+                    value, row = block(rest, row, depth + 1)
+                collection.append(value)
+            elif kind is None:  # a scalar where a key belongs
+                raise _Decline
             else:
-                child = {}
-            if len(stack) == _MAX_DEPTH:
-                return None
-            top.append(child)
-            stack.append(child)
-            columns.append(column)
-            top = child
-        else:  # a "key:" or "key: value" line of a mapping
-            if kind is None:
-                return None
-            key = values.get(kind, _NOTHING)
-            if key is _NOTHING:
                 key = scalar(kind)
-            if key is _NOTHING or key in top:
-                return None
-            if not rest:
-                pending = key
-                continue
-            value = values.get(rest, _NOTHING)
-            if value is _NOTHING:
-                value = value_of(rest)
-                if value is _NOTHING:
-                    return None
-            top[key] = value
+                if key in collection:
+                    raise _Decline
+                if rest:
+                    collection[key] = value_of(rest, depth)
+                else:
+                    collection[key], row = later(column, row, depth, True)
+            if row == end:
+                return collection, row
+            next_column, kind, rest = rows[row]
+            if next_column != column or (kind is _ITEM) is not entry:
+                return collection, row
+            row += 1
 
-    if not stack:
+    try:
+        doc, row = block(rows[0], 1, 1)
+    except (_Decline, RecursionError):
         return None
-    if pending is not _NOTHING:
-        _put(stack[-1], pending, None)
-    return stack[0]
+    return doc if row == end else None
 
 
 def load(text: str):

@@ -412,7 +412,13 @@ def test_dumped_trees_load_like_the_reference(backend):
 
 
 def nested(opener: str, depth: int) -> str:
-    """A descriptor whose innermost node sits in ``depth`` collections, the top one included."""
+    """A descriptor whose innermost node sits in ``depth`` collections, the top one included.
+
+    ``[`` and ``{a: `` nest flow collections, which only the event path
+    reads; ``a:`` nests block mappings, which the one-pass reader reads.
+    """
+    if opener == "a:":
+        return "".join(" " * level + "a:\n" for level in range(depth - 1)) + " " * (depth - 1) + "a: x\n"
     closer = {"[": "]", "{a: ": "}"}[opener]
     return "a: " + opener * (depth - 1) + closer * (depth - 1) + "\n"
 
@@ -422,8 +428,10 @@ def under_frames(count: int, fn):
     return fn() if count == 0 else under_frames(count - 1, fn)
 
 
-@pytest.mark.parametrize("opener", ["[", "{a: "])
-@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize("opener", ["[", "{a: ", "a:"])
+# the last leaves too few frames for the one-pass reader's recursion, which
+# then leaves the text to the event path
+@pytest.mark.parametrize("frames", [0, 200, sys.getrecursionlimit() - 150])
 def test_nesting_limit_depends_on_the_input_alone(yaml_backend, opener, frames):
     def round_trip():
         spec = compose.parse_compose(nested(opener, yaml_io._MAX_DEPTH))
@@ -1202,8 +1210,24 @@ def _outcome(load, text: str):
         "\n".join(" " * level + "a:" for level in range(101)) + " x\n",
         "\n".join(" " * level + "a:" for level in range(99)) + "\n" + " " * 99 + "- - x\n",
         "  a: 1\nb: 2\n",
+        "a: 1\nb\n",
+        "a: 1\na: 2\n",
+        "a:\n    b: 1\n  c: 2\n",
+        "a:\n- x\n  - y\n",  # loads as {'a': ['x - y']}
+        "- a\nb: 1\n",
     ],
-    ids=["quote_inside_quotes", "unclosed_quoted_key", "101_mappings_deep", "99_mappings_then_a_nested_list", "dedent_past_the_root"],
+    ids=[
+        "quote_inside_quotes",
+        "unclosed_quoted_key",
+        "101_mappings_deep",
+        "99_mappings_then_a_nested_list",
+        "dedent_past_the_root",
+        "scalar_where_a_key_belongs",
+        "repeated_key",
+        "indent_no_collection_has",
+        "plain_scalar_on_a_deeper_line",
+        "key_at_a_list_column",
+    ],
 )
 def test_one_pass_reader_declines_to_the_event_path(yaml_backend, text):
     assert yaml_io._read(text) is None
