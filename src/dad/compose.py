@@ -29,6 +29,7 @@ from .model import (
     ServiceNode,
     VolumeNode,
     _attr_pairs,
+    assert_acyclic,
     record,
 )
 
@@ -375,16 +376,17 @@ def load_model(
 ) -> tuple[ArchModel, ComposeSpec, list[ValidationIssue]]:
     """The one gate from descriptor text to a checked model: (model, spec, issues).
 
-    Parse, ``validate``, ``lower``, then ``ArchModel.validate``. Raises
-    LoweringError when any issue is an error; parse errors and ModelError
-    (CycleError for a dependency cycle) pass through.
+    Parse, ``validate``, ``lower``, then ``assert_acyclic``: ``lower`` keeps
+    every other ``ArchModel.validate`` rule for a spec ``validate`` passes.
+    Raises LoweringError when any issue is an error and CycleError for a
+    dependency cycle; parse errors pass through.
     """
     spec = parse_compose(text)
     issues = validate(spec, strict)
     if not issues_ok(issues):
         raise LoweringError(issues)
     model = lower(spec, fallback_title=fallback_title)
-    model.validate()
+    assert_acyclic(model)
     return model, spec, issues
 
 
@@ -394,20 +396,17 @@ def lower(spec: ComposeSpec, fallback_title: str = "system") -> ArchModel:
     One node per service/volume/network in source order, then one edge per
     entry of each relation field, walking ``_RELATIONS`` field by field and
     each field over the services in order. Dangling references get phantom
-    nodes (flagged on the node, listed by ``ArchModel.phantom_names``); the
-    spec is not validated nor the model checked here, ``load_model`` does
-    both. The title is the top-level ``name`` key, else ``fallback_title``.
+    nodes (flagged on the node, listed by ``ArchModel.phantom_names``) and a
+    service with both sources keeps its image. Nothing is checked here; see
+    ``load_model``. The title is the top-level ``name`` key, else ``fallback_title``.
     """
     services: list[ServiceNode] = []
     for name, entry in spec.services.items():
-        build = entry.build
-        if entry.image is not None and build is not None:
-            build = None  # image wins on conflict in lenient mode
         services.append(
             ServiceNode(
                 name=name,
                 image=entry.image,
-                build=build,
+                build=entry.build if entry.image is None else None,  # image wins in lenient mode
                 container_name=entry.container_name,
             )
         )
@@ -454,16 +453,18 @@ def unlower(model: ArchModel) -> ComposeSpec:
     relation field ``_RELATIONS`` pairs with its kind, a mount as a MountRef.
     A phantom node stays undeclared only where a lenient reparse synthesizes
     it again as it is: an edge points at it, it has no edges of its own and,
-    for a service, no attributes. Every other node is declared. A mount edge
-    needs its target path back; refusing to invent one (EmitError) keeps the
-    round trip honest. A repeated mount is the emitters' guard's to refuse.
+    for a service, no attributes. Every other node is declared. EmitError
+    refuses an edge a descriptor would read back as another, which keeps the
+    round trip honest: a mount without a target path, a mount of a volume whose
+    name ``_NAMED_VOLUME_RE`` does not match (a host path), and a link to a name
+    holding ``:`` (an alias). A repeated mount is the emitters' guard's to refuse.
     """
     entries = {
         svc.name: ServiceEntry(svc.image, svc.build, svc.container_name) for svc in model.services
     }
     # node class -> the names edges point at
     pointed_at: dict[type, set[str]] = {node_type: set() for node_type in _NODE_NOUN}
-    mount = EdgeKind.MOUNT
+    mount, link = EdgeKind.MOUNT, EdgeKind.LINK
     for kind, src, dst, target in model.edges:
         pointed_at[_EDGE_DST[kind]].add(dst)
         if kind is mount:
@@ -471,7 +472,11 @@ def unlower(model: ArchModel) -> ComposeSpec:
                 raise EmitError(
                     f"mount {src} - {dst} has no target path; cannot place it in a descriptor"
                 )
+            if not _NAMED_VOLUME_RE.fullmatch(dst):
+                raise EmitError(f"mount {src} - {dst}: a descriptor reads {dst!r} as a host path")
             dst = MountRef(dst, target)
+        elif kind is link and ":" in dst:
+            raise EmitError(f"link {src} - {dst}: a descriptor reads what follows ':' as an alias")
         getattr(entries[src], _FIELD_OF[kind]).append(dst)
     sources = {edge.src for edge in model.edges}
 

@@ -207,9 +207,9 @@ def round_trip_check(descriptor_text: str, strict: bool = False) -> ConsistencyR
     """Run the descriptor through the full loop and diff what comes back.
 
     descriptor -> model -> diagram script -> model -> descriptor -> model,
-    then compare the first and last models canonically. Failures of
-    ``compose.load_model`` (YAML syntax, schema shapes, validation, dependency
-    cycles) and of any later hop yield Invalid with the error; this never raises.
+    then compare the first and last models canonically. Both descriptors pass
+    ``compose.load_model`` in one mode. Its failures (YAML syntax, schema shapes,
+    validation, dependency cycles) and any hop's yield Invalid; this never raises.
     """
     from . import compose
 
@@ -220,9 +220,7 @@ def round_trip_check(descriptor_text: str, strict: bool = False) -> ConsistencyR
         notes = _residue_notes(spec)
         del spec
         descriptor_back = emit_compose(lift(parse_dac(emit_dac(original).text)))
-        relowered = compose.lower(
-            compose.parse_compose(descriptor_back), fallback_title=original.title
-        )
+        relowered = compose.load_model(descriptor_back, strict)[0]
     except DadError as exc:
         return ConsistencyReport(Verdict.INVALID, error=str(exc))
     return compare_models(original, relowered, notes=notes)

@@ -352,11 +352,11 @@ def emit_compose(model: ArchModel) -> str:
 
     This is ``serialize_compose(unlower(model))``, so mounts and builds are
     written as ``dad`` writes them from any descriptor. Key order follows
-    model order, a phantom node stays undeclared only where a lenient
-    reparse gives it back (see ``unlower``), and a mount edge without a
-    target path is refused (EmitError), as is a model that fails the
-    emitters' guard: one that fails ``ArchModel.validate`` or mounts a
-    volume twice at one target.
+    model order. As ``unlower`` says, a phantom node stays undeclared only
+    where a lenient reparse gives it back, and an edge no descriptor can hold
+    is refused (EmitError). So is a model that fails the emitters' guard:
+    one that fails ``ArchModel.validate`` or mounts a volume twice at one
+    target.
     """
     from . import compose
 

@@ -28,9 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dad import cli, yaml_io
-from dad.compose import load_model, lower, parse_compose, serialize_compose, unlower
+from dad.compose import (
+    _NAMED_VOLUME_RE,
+    load_model,
+    lower,
+    parse_compose,
+    serialize_compose,
+    unlower,
+)
 from dad.consistency import Verdict, check_diagram_against_descriptor, round_trip_check
-from dad.dac_emit import emit_dac, emit_dot
+from dad.dac_emit import emit_dac, emit_dot, escape_quoted
 from dad.dac_ingest import emit_compose, lift, parse_dac
 from dad.errors import DadError, EmitError
 from dad.model import (
@@ -264,6 +271,24 @@ LOST_PHANTOMS = {
 }
 
 
+def unheld_script(label: str) -> str:
+    """A script lift takes whose descriptor could not hold its one edge:
+    ``a`` links to a service named ``label`` when it holds ``:``, else
+    mounts a volume named ``label`` at ``/data``."""
+    if ":" in label:
+        node, edge = f'Server("{label}")  # image=y', "a - b"
+    else:
+        node, edge = f'Storage("{label}")', "a - b  # target=/data"
+    return (
+        'with DaC("t", direction="TB"):\n'
+        '  with Cluster("a service"):\n'
+        '    a = Server("a")  # image=x\n'
+        '  with Cluster("b"):\n'
+        f"    b = {node}\n"
+        f"  {edge}\n"
+    )
+
+
 class TestInvert:
     def test_generated_script_inverts_to_equivalent_descriptor(self, capsys, tmp_path):
         script = tmp_path / "stack.dac"
@@ -326,6 +351,20 @@ class TestInvert:
         code, out, err = run(capsys, "invert", "-i", str(script))
         assert (code, out) == (EXIT_INVALID, "")
         assert "line 7: mounts data:/a twice" in err
+
+    # a volume name a descriptor reads as a host path, and a link target it
+    # reads as a service and an alias
+    @pytest.mark.parametrize("label", ["my vol", ".v", "/host", "~", "vé", "b:c"])
+    def test_edge_a_descriptor_cannot_hold_rejected(self, capsys, tmp_path, label):
+        refusal = f"{'link' if ':' in label else 'mount'} a - {label}: "
+        script = tmp_path / "unheld.dac"
+        script.write_text(unheld_script(label), encoding="utf-8")
+        model = lift(parse_dac(unheld_script(label)))
+        with pytest.raises(EmitError, match=f"^{re.escape(refusal)}"):
+            emit_compose(model)
+        code, out, err = run(capsys, "invert", "-i", str(script))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith(f"error: EmitError: {refusal}")
 
     def test_strict_undeclared_ident(self, capsys, tmp_path):
         script = tmp_path / "dangling.dac"
@@ -1561,3 +1600,88 @@ def test_lifted_scripts_hold_hypothesis_2():
     check()
     # the property is about scripts lift takes: most of the draws must be such
     assert seen["held"] > 0.3 * sum(seen.values()), seen
+
+
+# labels a descriptor must quote, or cannot hold as a mounted volume or a link target
+ADVERSARIAL_LABELS = ("my vol", ".v", "/host", "~", "vé", "b:c", "a b", "null", "1", "-x", "a#b")
+
+
+@st.composite
+def labelled_h2_scripts(draw) -> str:
+    """``h2_scripts`` plus one link between declared services, with each
+    declared node labelled from ``ADVERSARIAL_LABELS`` or by its identifier;
+    two nodes of one kind may draw one label, which lift refuses."""
+    text = draw(h2_scripts())
+    servers = re.findall(r"^    (\w) = Server\(", text, re.M)
+    if servers:
+        text += f"  {draw(st.sampled_from(servers))} - {draw(st.sampled_from(servers))}\n"
+    for ident in SCRIPT_IDENTS:
+        label = escape_quoted(draw(st.sampled_from((ident, *ADVERSARIAL_LABELS))))
+        text = re.sub(rf'( {ident} = \w+\()"{ident}"\)', lambda m: f'{m[1]}"{label}")', text)
+    return text
+
+
+# why no descriptor holds an edge, and what the refusal then says: a mount
+# without a target, a mount of a volume a descriptor reads as a host path, a
+# link to a name it reads as a service and an alias
+UNHELD_REASONS = {
+    "mount without a target": "has no target path",
+    "unmountable volume name": "as a host path",
+    "link target holding ':'": "as an alias",
+}
+
+
+def unheld_edges(model: ArchModel) -> set[str]:
+    """The ``UNHELD_REASONS`` the model's edges show."""
+    no_target, unmountable, aliased = UNHELD_REASONS
+    reasons = set()
+    for kind, _, dst, target in model.edges:
+        if kind is EdgeKind.MOUNT and target is None:
+            reasons.add(no_target)
+        if kind is EdgeKind.MOUNT and not _NAMED_VOLUME_RE.fullmatch(dst):
+            reasons.add(unmountable)
+        if kind is EdgeKind.LINK and ":" in dst:
+            reasons.add(aliased)
+    return reasons
+
+
+def test_lifted_scripts_with_any_label_hold_hypothesis_2():
+    # every script lift takes either inverts to a descriptor that reads back
+    # as its model, or is refused for an edge no descriptor holds; a sample
+    # also goes through dad invert, then dad diff
+    seen = collections.Counter()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(text=labelled_h2_scripts(), via_cli=st.integers(0, 4))
+    def check(text, via_cli):
+        try:
+            model = lift(parse_dac(text, strict=False))
+        except DadError:
+            seen["refused"] += 1
+            return
+        unheld = unheld_edges(model)
+        if unheld:
+            with pytest.raises(EmitError) as refusal:
+                emit_compose(model)
+            if len(unheld) == 1:
+                reason = next(iter(unheld))
+                assert UNHELD_REASONS[reason] in str(refusal.value), (text, reason)
+                seen[f"only {reason}"] += 1
+        else:
+            descriptor = emit_compose(model)
+            assert model_equal(load_model(descriptor)[0], model), (text, descriptor)
+            seen["held"] += 1
+        if via_cli == 0:
+            with tempfile.TemporaryDirectory() as tmp:
+                script, back = Path(tmp, "s.dac"), Path(tmp, "back.yml")
+                script.write_text(text, encoding="utf-8")
+                code = quiet_main("invert", "-i", str(script), "-o", str(back))[0]
+                assert code == (EXIT_INVALID if unheld else EXIT_OK), text
+                if not unheld:
+                    code, out = quiet_main("diff", "-i", str(script), "-i", str(back))
+                    assert code == EXIT_OK, (text, out)
+
+    check()
+    assert seen["held"] > 0.3 * sum(seen.values()), seen
+    # each refusal is drawn as the only reason a script cannot be held
+    assert all(seen[f"only {reason}"] for reason in UNHELD_REASONS), seen

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dad.compose import (
     ComposeSpec,
@@ -28,7 +30,7 @@ from dad.consistency import Verdict, round_trip_check
 from dad.errors import ComposeSyntaxError, CycleError, LoweringError, SchemaError
 from dad.model import BuildRef, EdgeKind
 
-from specgen import doc_to_yaml, gen_descriptor_doc
+from specgen import doc_to_yaml, gen_descriptor_doc, perfbench_gen
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -426,6 +428,73 @@ class TestLoadModel:
     def test_title_falls_back(self):
         assert load_model("services: {}\n", fallback_title="alt")[0].title == "alt"
         assert load_model("name: n\nservices: {}\n", fallback_title="alt")[0].title == "n"
+
+
+def lowers_within_the_gate(spec: ComposeSpec) -> bool:
+    """Whether ``spec`` passes ``validate`` in some mode; if so, its model must
+    keep every ``ArchModel.validate`` rule but, at most, acyclicity.
+
+    This is what lets ``load_model`` check only for a dependency cycle after
+    ``validate`` and ``lower``.
+    """
+    if not any(issues_ok(validate(spec, strict)) for strict in (False, True)):
+        return False
+    try:
+        lower(spec).validate()
+    except CycleError:
+        pass
+    return True
+
+
+# names no model node can carry, or that a descriptor spells with care
+ODD_NAMES = ("", " ", "a:b", "x y", "é", "a", "b", "c")
+
+
+@st.composite
+def hand_built_specs(draw) -> ComposeSpec:
+    """Specs ``parse_compose`` could return, with odd names, dangling
+    references in every relation field and conflicting or missing sources.
+    The names of a section are unique, as the mapping keys they are read from."""
+    names = st.sampled_from(ODD_NAMES)
+    section = st.lists(names, unique=True, max_size=4)
+    services = {}
+    for name in draw(section):
+        mounts = st.tuples(names, st.sampled_from(("/t", "", "a:b")))
+        services[name] = ServiceEntry(
+            image=draw(st.sampled_from((None, "x", ""))),
+            build=draw(st.sampled_from((None, BuildRef("."), BuildRef(".", "D")))),
+            container_name=draw(st.sampled_from((None, "", "c"))),
+            depends_on=draw(st.lists(names, max_size=3)),
+            links=draw(st.lists(names, max_size=3)),
+            volumes=[MountRef(*mount) for mount in draw(st.lists(mounts, max_size=3, unique=True))],
+            networks=draw(st.lists(names, max_size=3)),
+        )
+    return ComposeSpec(services, draw(section), draw(section))
+
+
+class TestGatePremise:
+    def test_descriptors_that_pass_validate_lower_to_valid_or_cyclic_models(self):
+        rng = random.Random(25)
+        texts = [doc_to_yaml(gen_descriptor_doc(rng)) for _ in range(200)]
+        texts += [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.yml"))]
+        gen = perfbench_gen()
+        for seed in (1, 2):
+            seeded = random.Random(seed)
+            texts += [gen.scale_descriptor(seeded, n).text for n in (10, 60, 150)]
+        for text in texts:
+            assert lowers_within_the_gate(parse_compose(text)), text
+
+    def test_hand_built_specs_that_pass_validate_lower_to_valid_or_cyclic_models(self):
+        passed = []
+
+        @settings(max_examples=500, deadline=None, derandomize=True)
+        @given(spec=hand_built_specs())
+        def check(spec):
+            passed.append(lowers_within_the_gate(spec))
+
+        check()
+        # the premise is about specs validate passes: many draws must be such
+        assert 0.1 * len(passed) < sum(passed) < len(passed), (sum(passed), len(passed))
 
 
 class TestUnlower:
