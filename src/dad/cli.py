@@ -43,6 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "and verify that the two stay consistent.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    report = dict(
+        choices=("text", "machine"), default="text", help="text, or machine: tab separated lines"
+    )
 
     def add_common(p: argparse.ArgumentParser, inputs_help: str) -> None:
         p.add_argument(
@@ -64,16 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strict",
             action="store_true",
-            help="treat dangling references and conflicting sources as errors",
+            help="treat a descriptor's dangling references and conflicting or missing sources "
+            "(image and build, or neither) as errors, and refuse a script's undeclared identifiers",
         )
 
     p_gen = sub.add_parser("generate", help="descriptor -> diagram script or DOT")
     add_common(p_gen, "descriptor file (exactly one)")
-    p_gen.add_argument("--format", choices=("dac", "dot"), default="dac")
+    p_gen.add_argument(
+        "--format", choices=("dac", "dot"), default="dac", help="a DaC script or a Graphviz digraph"
+    )
     p_gen.add_argument(
         "--group-by-role",
         action="store_true",
-        help="order services by image role (database, messaging, gateway, service)",
+        help="order services by their image role's name (database, gateway, messaging, service)",
     )
     p_gen.set_defaults(func=cmd_generate)
 
@@ -86,12 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify consistency: one descriptor round-trips, or a script/descriptor pair agrees",
     )
     add_common(p_check, "descriptor file(s), or one descriptor plus one .dac script")
-    p_check.add_argument("--report", choices=("text", "machine"), default="text")
+    p_check.add_argument("--report", **report)
     p_check.set_defaults(func=cmd_check)
 
     p_diff = sub.add_parser("diff", help="structural diff of two inputs (descriptor or script)")
     add_common(p_diff, "input file (give exactly two)")
-    p_diff.add_argument("--report", choices=("text", "machine"), default="text")
+    p_diff.add_argument("--report", **report)
     p_diff.add_argument(
         "--left-format",
         choices=("compose", "dac"),

@@ -32,6 +32,8 @@ from .model import (
     assert_acyclic,
     record,
 )
+from .yaml_io import dump as dump_yaml
+from .yaml_io import load as _load_yaml
 
 # Source part of a mount that names a volume rather than a host path.
 _NAMED_VOLUME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -133,15 +135,6 @@ class ValidationIssue:
 
 def issues_ok(issues: list[ValidationIssue]) -> bool:
     return not any(issue.severity == "error" for issue in issues)
-
-
-def _load_yaml(text: str):
-    """The single YAML document in ``text`` (None when there is none)."""
-    # loaded with the first YAML read or written; it imports PyYAML only for a
-    # document its one-pass reader declines or its writer leaves to yaml.dump
-    from . import yaml_io
-
-    return yaml_io.load(text)
 
 
 def _require_str(value, path: str) -> str:
@@ -573,13 +566,6 @@ def _mount_item(groups: dict[ResiduePath, dict], owner: ResiduePath, mount: Moun
     item = {"type": "volume", "source": mount.volume, "target": mount.target}
     item.update(extras)
     return item
-
-
-def dump_yaml(doc: dict) -> str:
-    """``doc`` as block-style YAML: the bytes ``yaml.dump`` writes with dad's dumper (``yaml_io.dump``)."""
-    from . import yaml_io
-
-    return yaml_io.dump(doc)
 
 
 def serialize_compose(spec: ComposeSpec) -> str:

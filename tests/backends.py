@@ -2,10 +2,11 @@
 
 ``dad.yaml_io`` parses and dumps through libyaml when PyYAML was built with
 it. ``python_backend`` reloads the module as if PyYAML had no libyaml and
-restores the original module afterwards. ``dad.compose`` and every module
-that imported its functions follow along, since those functions look up
-``dad.yaml_io`` and its ``_pyyaml``, which makes the parser and dumper
-classes, at call time.
+restores the original module afterwards. ``dad.compose`` holds
+``yaml_io``'s own ``load`` and ``dump``, bound at its import; they look up
+``_read``, ``_text`` and ``_pyyaml`` (which makes the parser and dumper
+classes) in ``yaml_io``'s namespace at call time, and the reload reuses that
+namespace, so they follow along, as does every module that imported them.
 """
 
 import contextlib

@@ -253,6 +253,22 @@ class TestRoleGrouping:
         assert (code, err) == (EXIT_OK, "")
         assert out.index('Cluster("web service")') < out.index('Cluster("app service")')
 
+    @pytest.mark.parametrize(
+        "fmt, line", [("dac", 'Cluster("{} service")'), ("dot", "  {} [shape=box")], ids=["dac", "dot"]
+    )
+    def test_builtin_roles_group_in_the_order_of_their_names(self, capsys, tmp_path, fmt, line):
+        # one service per builtin role: database, gateway, messaging, service
+        src = tmp_path / "stack.yml"
+        src.write_text(
+            "services:\n  web:\n    image: nginx\n  app:\n    image: example/app\n"
+            "  queue:\n    image: rabbitmq\n  db:\n    image: postgres\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "generate", "-i", str(src), "--format", fmt, "--group-by-role")
+        assert (code, err) == (EXIT_OK, "")
+        names = sorted(["web", "app", "queue", "db"], key=lambda name: out.index(line.format(name)))
+        assert names == ["db", "web", "queue", "app"]
+
 
 # Script bodies holding a phantom that a lenient reparse would not give back:
 # an attributed one that an edge points at, and an isolated service, volume
@@ -755,6 +771,35 @@ class TestUsage:
         assert cli.main([sub, "--help"]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize(
+        "sub, options",
+        [
+            (
+                "generate",
+                (
+                    "--format {dac,dot} a DaC script or a Graphviz digraph",
+                    "--group-by-role order services by their image role's name "
+                    "(database, gateway, messaging, service)",
+                ),
+            ),
+            ("invert", ()),
+            ("check", ("--report {text,machine} text, or machine: tab separated lines",)),
+            ("diff", ("--report {text,machine} text, or machine: tab separated lines",)),
+        ],
+    )
+    def test_subcommand_help_texts(self, capsys, monkeypatch, columns, sub, options):
+        # argparse wraps help at the terminal width, so whitespace is folded
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli.main([sub, "--help"]) == EXIT_OK
+        out = " ".join(capsys.readouterr().out.split())
+        strict = (
+            "--strict treat a descriptor's dangling references and conflicting or missing sources "
+            "(image and build, or neither) as errors, and refuse a script's undeclared identifiers"
+        )
+        for text in (strict, *options):
+            assert text in out
+
 
 def write_deeply_nested(tmp_path: Path, depth: int) -> Path:
     path = tmp_path / f"deep{depth}.yml"
@@ -952,6 +997,13 @@ class TestColdProcess:
         program = "import sys, dad\nprint(sorted(name for name in sys.modules if name.startswith('dad.')))\n"
         proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (EXIT_OK, "[]\n"), proc.stderr
+
+    def test_import_of_compose_loads_yaml_io_and_no_pyyaml(self):
+        # compose binds yaml_io's load and dump at import, and yaml_io imports
+        # PyYAML only for a document its own reader or writer leaves to it
+        program = "import sys, dad.compose\nprint('dad.yaml_io' in sys.modules, 'yaml' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, "True False\n"), proc.stderr
 
     def test_submodules_resolve_in_a_fresh_process(self):
         program = (

@@ -52,6 +52,22 @@ def test_backend_follows_libyaml_availability():
     assert yaml_io._pyyaml().Parser is parser and yaml_io._pyyaml().Dumper is dumper
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+def test_compose_follows_the_backend_switch_and_its_restore():
+    # compose holds yaml_io's own load, whose lookups go to yaml_io's namespace
+    # at call time: the reload switches it, and the restore switches it back
+    def problem():
+        with pytest.raises(ComposeSyntaxError) as caught:
+            compose._load_yaml("a: b: c\n")
+        return str(caught.value)
+
+    assert compose._load_yaml is yaml_io.load and compose.dump_yaml is yaml_io.dump
+    assert problem().startswith("mapping values are not allowed in this context")
+    with python_backend():
+        assert problem().startswith("mapping values are not allowed here")
+    assert problem().startswith("mapping values are not allowed in this context")
+
+
 def descriptor_texts() -> list[str]:
     texts = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.yml"))]
     rng = random.Random(11)
