@@ -8,7 +8,8 @@ round-trip checks verify end to end.
 
 Each public name, and each submodule, is imported on first access (PEP 562),
 so ``import dad`` alone loads no submodule and a command loads only the
-modules it runs: ``dad diff`` of two scripts never loads the descriptor layer.
+modules it runs: only ``generate`` and a descriptor's ``check`` load the
+emitters, and ``dad diff`` of two scripts loads no descriptor layer either.
 """
 
 import importlib

@@ -29,11 +29,19 @@ from .consistency import (
     render_report,
     round_trip_check,
 )
-from .dac_emit import DEFAULT_ROLE_TABLE, EmitOptions, emit_dac, emit_dot
 from .dac_ingest import emit_compose, lift, parse_dac
 from .errors import DadError, LoweringError
 
 _EXIT_BY_VERDICT = {Verdict.CONSISTENT: 0, Verdict.INCONSISTENT: 1, Verdict.INVALID: 2}
+
+
+# generate loads the emitters when it runs; their names resolve here at each access (PEP 562)
+def __getattr__(name: str):
+    if name in ("DEFAULT_ROLE_TABLE", "EmitOptions", "emit_dac", "emit_dot"):
+        from . import dac_emit
+
+        return getattr(dac_emit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,10 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_role_table() -> tuple[tuple[str, str], ...]:
-    path = os.environ.get("DAD_ROLE_TABLE")
-    if not path:
-        return DEFAULT_ROLE_TABLE
+def _load_role_table(path: str) -> tuple[tuple[str, str], ...]:
     pairs: list[tuple[str, str]] = []
     for lineno, raw in enumerate(_read_text(Path(path)).splitlines(), 1):
         line = raw.strip()
@@ -175,10 +180,13 @@ def _descriptor_model(text: str, path: Path, strict: bool):
 
 
 def cmd_generate(args) -> int:
+    from .dac_emit import DEFAULT_ROLE_TABLE, EmitOptions, emit_dac, emit_dot
+
     path = _single_input(args, "generate")
     model, _ = _descriptor_model(_read_text(path), path, args.strict)
     # the table only orders grouped services: a plain generate never reads it
-    table = _load_role_table() if args.group_by_role else DEFAULT_ROLE_TABLE
+    table_path = os.environ.get("DAD_ROLE_TABLE") if args.group_by_role else None
+    table = _load_role_table(table_path) if table_path else DEFAULT_ROLE_TABLE
     opts = EmitOptions(group_by_role=args.group_by_role, role_table=table)
     if args.format == "dot":
         _write_output(args.output, emit_dot(model, opts))

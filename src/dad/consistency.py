@@ -11,7 +11,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .dac_emit import emit_dac
 from .dac_ingest import emit_compose, lift, parse_dac
 from .errors import DadError
 from .model import ArchModel, CanonicalForm, edge_order, keyed, record
@@ -212,6 +211,7 @@ def round_trip_check(descriptor_text: str, strict: bool = False) -> ConsistencyR
     validation, dependency cycles) and any hop's yield Invalid; this never raises.
     """
     from . import compose
+    from .dac_emit import emit_dac
 
     try:
         original, spec, _ = compose.load_model(descriptor_text, strict)

@@ -19,13 +19,18 @@ models with equal options give byte-identical text.
 Trailing annotations carry the node attributes and mount targets that the
 pictures alone would lose; they are what makes the inverse direction
 information-preserving.
+
+The reader, ``dac_ingest``, owns what both sides share: the KIND word per node
+class, the named escapes (inverted here), the decoders and the emitters'
+guard, so a command that only reads a script never loads this module.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import EmitError, ModelError
+from .dac_ingest import _KIND_BY_NODE, _NAMED_CONTROLS, _checked
+from .errors import EmitError
 from .model import _EDGE_DST, _NODE_NOUN, ArchModel, EdgeKind, NetworkNode, ServiceNode, VolumeNode
 from .model import _attr_pairs, record
 
@@ -43,8 +48,6 @@ DEFAULT_ROLE_TABLE: tuple[tuple[str, str], ...] = (
     ("traefik", "gateway"),
     ("haproxy", "gateway"),
 )
-
-_KIND_BY_NODE = {ServiceNode: "Server", VolumeNode: "Storage", NetworkNode: "Network"}
 
 
 @record
@@ -103,22 +106,13 @@ def _free_suffix(base: str, taken: set[str], n: int) -> int:
 # Control characters would break a script line (or be rewritten by universal
 # newline reading); they travel as escapes instead.
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
-_NAMED_ESCAPES = {"\n": "n", "\r": "r", "\t": "t"}
-_NAMED_CONTROLS = {code: ch for ch, code in _NAMED_ESCAPES.items()}
-_ESCAPE_RE = re.compile(r"\\(x[0-9a-f]{2}|.)", re.DOTALL)
+_NAMED_ESCAPES = {ch: code for code, ch in _NAMED_CONTROLS.items()}
 
 
 def _escape_control(match: re.Match) -> str:
     ch = match.group()
     code = _NAMED_ESCAPES.get(ch)
     return f"\\{code}" if code else f"\\x{ord(ch):02x}"
-
-
-def _unescape_one(match: re.Match) -> str:
-    seq = match.group(1)
-    if len(seq) == 3:
-        return chr(int(seq[1:], 16))
-    return _NAMED_CONTROLS.get(seq, seq)
 
 
 def escape_quoted(value: str) -> str:
@@ -131,13 +125,6 @@ def escape_quoted(value: str) -> str:
     return _CONTROL_RE.sub(_escape_control, escaped)
 
 
-def unescape_quoted(value: str) -> str:
-    """Exact inverse of escape_quoted; any other ``\\c`` reads as ``c``."""
-    if "\\" not in value:
-        return value
-    return _ESCAPE_RE.sub(_unescape_one, value)
-
-
 def encode_annot_value(value: str) -> str:
     """Percent-encode the characters that would break the k=v,k=v syntax."""
     encoded = (
@@ -148,18 +135,6 @@ def encode_annot_value(value: str) -> str:
     if encoded.endswith(" "):
         encoded = encoded[:-1] + "%20"
     return encoded
-
-
-def decode_annot_value(value: str) -> str:
-    if "%" not in value:
-        return value
-    return (
-        value.replace("%20", " ")
-        .replace("%0A", "\n")
-        .replace("%0D", "\r")
-        .replace("%2C", ",")
-        .replace("%25", "%")
-    )
 
 
 def _format_annotations(pairs: tuple[tuple[str, str], ...]) -> str:
@@ -212,24 +187,6 @@ def _layout(model: ArchModel, opts: EmitOptions) -> tuple[_Layout, _Idents]:
 
 def _endpoints(edge, idents: _Idents) -> tuple[str, str]:
     return idents[ServiceNode, edge.src], idents[_EDGE_DST[edge.kind], edge.dst]
-
-
-def _checked(model: ArchModel) -> ArchModel:
-    """The guard of every emitter: the model, once valid and free of repeated mounts."""
-    try:
-        model.validate()
-    except ModelError as exc:
-        raise EmitError(f"refusing to emit invalid model: {exc}") from exc
-    # lift and compose._parse_mounts refuse a volume mounted twice at one
-    # target, so no script or descriptor holding it would read back
-    mount = EdgeKind.MOUNT
-    mounts: set[tuple[str, str, str]] = set()
-    for kind, src, dst, target in model.edges:
-        if kind is mount and target is not None:
-            if (src, dst, target) in mounts:
-                raise EmitError(f"{src} mounts {dst}:{target} twice; a descriptor cannot hold it")
-            mounts.add((src, dst, target))
-    return model
 
 
 def emit_dac(model: ArchModel, opts: EmitOptions | None = None) -> DacScript:

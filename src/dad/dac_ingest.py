@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import re
 
-from .dac_emit import _KIND_BY_NODE, _checked, decode_annot_value, unescape_quoted
 from .errors import (
     DacSyntaxError,
     DuplicateIdentError,
+    EmitError,
     LiftError,
     ModelError,
     UndeclaredIdentError,
@@ -43,6 +43,37 @@ from .model import (
     _service_node,
     record,
 )
+
+# the constructor word of each node class, for the emitters and this reader
+_KIND_BY_NODE = {ServiceNode: "Server", VolumeNode: "Storage", NetworkNode: "Network"}
+# the named escapes of a quoted span; dac_emit writes them by inverting this
+_NAMED_CONTROLS = {"n": "\n", "r": "\r", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(x[0-9a-f]{2}|.)", re.DOTALL)
+
+
+def _unescape_one(match: re.Match) -> str:
+    seq = match.group(1)
+    return chr(int(seq[1:], 16)) if len(seq) == 3 else _NAMED_CONTROLS.get(seq, seq)
+
+
+def unescape_quoted(value: str) -> str:
+    """Exact inverse of dac_emit.escape_quoted; any other ``\\c`` reads as ``c``."""
+    if "\\" not in value:
+        return value
+    return _ESCAPE_RE.sub(_unescape_one, value)
+
+
+def decode_annot_value(value: str) -> str:
+    if "%" not in value:
+        return value
+    return (
+        value.replace("%20", " ")
+        .replace("%0A", "\n")
+        .replace("%0D", "\r")
+        .replace("%2C", ",")
+        .replace("%25", "%")
+    )
+
 
 # a quoted span never crosses a line end, so the body scan below stays per line
 _QUOTED = r'"([^"\\\n]*(?:\\.[^"\\\n]*)*)"'
@@ -71,7 +102,7 @@ Annotations = tuple[tuple[str, str], ...]
 @record
 class DacNode:
     ident: str
-    kind: str  # a constructor word of dac_emit._KIND_BY_NODE
+    kind: str  # a constructor word of _KIND_BY_NODE
     label: str
     annotations: Annotations = ()
     line: int = 0
@@ -344,6 +375,24 @@ def lift(ast: DacAst) -> ArchModel:
 
     model = ArchModel(ast.title, tuple(services), tuple(volumes), tuple(networks), tuple(edges))
     model.validate()
+    return model
+
+
+def _checked(model: ArchModel) -> ArchModel:
+    """The guard of every emitter: the model, once valid and free of repeated mounts."""
+    try:
+        model.validate()
+    except ModelError as exc:
+        raise EmitError(f"refusing to emit invalid model: {exc}") from exc
+    # lift and compose._parse_mounts refuse a volume mounted twice at one
+    # target, so no script or descriptor holding it would read back
+    mount = EdgeKind.MOUNT
+    mounts: set[tuple[str, str, str]] = set()
+    for kind, src, dst, target in model.edges:
+        if kind is mount and target is not None:
+            if (src, dst, target) in mounts:
+                raise EmitError(f"{src} mounts {dst}:{target} twice; a descriptor cannot hold it")
+            mounts.add((src, dst, target))
     return model
 
 

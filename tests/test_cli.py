@@ -27,7 +27,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dad import cli, yaml_io
+from dad import cli, dac_emit, yaml_io
 from dad.compose import (
     _NAMED_VOLUME_RE,
     load_model,
@@ -976,7 +976,8 @@ class TestColdProcess:
     """A CI gate starts dad as a fresh process and pays for every import."""
 
     def test_diff_of_two_scripts_imports_neither_yaml_nor_dataclasses(self, capsys, tmp_path):
-        # nor the descriptor layer: two scripts never need compose or yaml_io
+        # nor the descriptor layer: two scripts never need compose or yaml_io,
+        # nor the emitters, which only a command that writes a script loads
         left, right = tmp_path / "a.dac", tmp_path / "b.dac"
         lamp = str(CORPUS / "lamp.yml")
         assert cli.main(["generate", "-i", lamp, "-o", str(left)]) == EXIT_OK
@@ -986,12 +987,45 @@ class TestColdProcess:
             "import sys\n"
             "from dad.cli import main\n"
             f"code = main(['diff', '-i', {str(left)!r}, '-i', {str(right)!r}])\n"
-            "loaded = [name for name in ('yaml', 'dataclasses', 'dad.compose', 'dad.yaml_io') if name in sys.modules]\n"
+            "refused = ('yaml', 'dataclasses', 'dad.compose', 'dad.yaml_io', 'dad.dac_emit')\n"
+            "loaded = [name for name in refused if name in sys.modules]\n"
             "sys.exit(f'imported {loaded}' if loaded else code)\n"
         )
         proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "verdict: Consistent" in proc.stdout
+
+    def test_only_the_commands_that_write_a_script_load_the_emitters(self, tmp_path):
+        # generate, and a descriptor's round trip, emit a script; pair check,
+        # diff and invert of a script only read one
+        descriptor, script = str(CORPUS / "dblog.yml"), str(tmp_path / "dblog.dac")
+        assert cli.main(["generate", "-i", descriptor, "-o", script]) == EXIT_OK
+        out = str(tmp_path / "out")
+        emits = {
+            ("check", "-i", script, "-i", descriptor): False,
+            ("diff", "-i", script, "-i", descriptor): False,
+            ("invert", "-i", script): False,
+            ("generate", "-i", descriptor): True,
+            ("check", "-i", descriptor): True,
+        }
+        for argv, loaded in emits.items():
+            program = (
+                "import sys\n"
+                "from dad.cli import main\n"
+                f"code = main({[*argv, '-o', out]!r})\n"
+                "print(code, 'dad.dac_emit' in sys.modules)\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout) == (EXIT_OK, f"{EXIT_OK} {loaded}\n"), (argv, proc.stderr)
+
+    def test_the_emitter_names_resolve_through_cli_to_their_module(self):
+        # cli imports the emitters where generate calls them, and reads these
+        # four names from dac_emit at each access
+        for name in ("DEFAULT_ROLE_TABLE", "EmitOptions", "emit_dac", "emit_dot"):
+            assert getattr(cli, name) is getattr(dac_emit, name), name
+            assert name not in vars(cli)
+        with pytest.raises(AttributeError, match="module 'dad.cli' has no attribute 'escape_quoted'"):
+            cli.escape_quoted  # noqa: B018
 
     def test_import_dad_alone_loads_no_submodule(self):
         program = "import sys, dad\nprint(sorted(name for name in sys.modules if name.startswith('dad.')))\n"

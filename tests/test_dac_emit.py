@@ -12,18 +12,16 @@ from hypothesis import strategies as st
 from dad.dac_emit import (
     DEFAULT_ROLE_TABLE,
     EmitOptions,
-    decode_annot_value,
     emit_dac,
     emit_dot,
     encode_annot_value,
     escape_quoted,
     role_of,
     sanitize_ident,
-    unescape_quoted,
 )
 from dad.consistency import Verdict, round_trip_check
 from dad.compose import lower, parse_compose
-from dad.dac_ingest import emit_compose, lift, parse_dac
+from dad.dac_ingest import decode_annot_value, emit_compose, lift, parse_dac, unescape_quoted
 from dad.errors import EmitError
 from dad.model import (
     ArchModel,

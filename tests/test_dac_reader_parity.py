@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dad.compose import lower, parse_compose
-from dad.dac_emit import EmitOptions, decode_annot_value, emit_dac, unescape_quoted
+from dad.dac_emit import EmitOptions, emit_dac
 from dad.dac_ingest import Annotations, DacAst, DacCluster, DacEdge, DacNode, lift, parse_dac
+from dad.dac_ingest import decode_annot_value, unescape_quoted
 from dad.errors import (
     DacSyntaxError,
     DadError,
