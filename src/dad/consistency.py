@@ -125,19 +125,19 @@ def diff_models(
     The list is empty exactly when ``model_equal`` holds. Nodes pair by name,
     edges by (kind, src, dst) with exact matches consumed first; a paired
     mount whose targets disagree is one AttributeMismatch rather than a
-    missing/extra pair. Each side is keyed once (``keyed``), the keyed forms
-    are compared by lookups, and only the differences are sorted, so the cost
-    is linear in the models plus a sort of what differs.
+    missing/extra pair. Each side is keyed once into lookup tables (``keyed``),
+    the tables are compared by lookups, and only the differences are sorted,
+    so the cost is linear in the models plus a sort of what differs.
     """
-    lk, rk = keyed(left), keyed(right)
+    *left_nodes, left_edges = keyed(left)
+    *right_nodes, right_edges = keyed(right)
     entries: list[DiffEntry] = []
-
-    for section in ("services", "volumes", "networks"):
-        _diff_named_section(section, getattr(lk, section), getattr(rk, section), entries)
+    sections = zip(("services", "volumes", "networks"), left_nodes, right_nodes)
+    for section, left_names, right_names in sections:
+        _diff_named_section(section, left_names, right_names, entries)
 
     # leftover edges: the keys whose counts differ, sorted, grouped by
     # (kind, src, dst) into sorted (left, right) targets; no target prints as ''
-    left_edges, right_edges = lk.edges, rk.edges
     # dict.get, not Counter's __missing__, reads an absent key as 0
     left_count, right_count = left_edges.get, right_edges.get
     changed = [key for key, count in left_edges.items() if right_count(key) != count]
@@ -173,7 +173,8 @@ def diff_models(
 
 
 def _stats(left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm) -> ReportStats:
-    # a model and its canonical form hold the same number of each element
+    # a model ArchModel.validate accepts and its canonical form hold the same
+    # number of each element; a canonical form counts a repeated name once
     return ReportStats(
         left_nodes=len(left.services) + len(left.volumes) + len(left.networks),
         left_edges=len(left.edges),
@@ -183,8 +184,13 @@ def _stats(left: ArchModel | CanonicalForm, right: ArchModel | CanonicalForm) ->
 
 
 def _residue_notes(spec: ComposeSpec, prefix: str = "") -> tuple[str, ...]:
-    """One note per residue path of ``spec``; ``prefix`` names the input it came from."""
-    return tuple(f"residue excluded from diagram: {prefix}{path}" for path in spec.residue_paths())
+    """One note per residue path of ``spec``, then one per build that ``lower`` drops
+    for a service that also has an image; ``prefix`` names the input it came from."""
+    paths = spec.residue_paths()
+    for name, entry in spec.services.items():
+        if entry.image is not None and entry.build is not None:
+            paths.append(f"services.{name}.build")
+    return tuple(f"residue excluded from diagram: {prefix}{path}" for path in paths)
 
 
 def compare_models(

@@ -2,10 +2,10 @@
 
 The model keeps two orders at once. Node and edge tuples preserve the order in
 which elements appeared in the source text, so emission is order-faithful.
-``keyed`` projects a model onto an unsorted :class:`KeyedForm` of name and
-edge tables, and ``canonicalize`` sorts that into a :class:`CanonicalForm`,
-which is the equality oracle: two models are "the same architecture" exactly
-when their canonical forms are equal. The diff compares keyed forms directly.
+``keyed`` projects a model onto unsorted lookup tables of names and edges,
+and ``canonicalize`` sorts those into a :class:`CanonicalForm`, which is the
+equality oracle: two models are "the same architecture" exactly when their
+canonical forms are equal. The diff compares lookup tables directly.
 
 All values are immutable records, made by :func:`record`, and every operation
 here is a pure function. A record keeps its fields' order, defaults and
@@ -330,26 +330,6 @@ class CanonicalForm:
         return "\n".join(lines) + "\n"
 
 
-@record
-class KeyedForm:
-    """Unsorted projection of a model onto the retained subset, keyed for lookup.
-
-    Each node section maps a name to its attribute pairs, so the diff walks
-    the three alike: ``services`` in script order (sorted by key when keyed
-    from a canonical form; the diff reads them as mappings), ``volumes`` and
-    ``networks`` to ``()``, as they carry none. ``edges`` counts each (kind
-    value, src, dst, target) tuple, so a repeated edge counts twice and a
-    mount with no target (None) differs from one at ``""``. It holds what
-    :class:`CanonicalForm` holds, before any sorting; a node name listed
-    twice, which ``ArchModel.validate`` refuses, counts once.
-    """
-
-    services: dict[str, tuple[tuple[str, str], ...]]
-    volumes: dict[str, tuple[()]]
-    networks: dict[str, tuple[()]]
-    edges: Counter[tuple[str, str, str, str | None]]
-
-
 _KIND_VALUE = {kind: kind.value for kind in EdgeKind}
 
 
@@ -359,37 +339,39 @@ def edge_order(edge: tuple[str, str, str, str | None]) -> tuple:
     return kind, src, dst, target is not None, target or ""
 
 
-def keyed(model: ArchModel | CanonicalForm) -> KeyedForm:
-    """Project a model, or a canonical form, onto its keyed form in one linear pass."""
+def keyed(model: ArchModel | CanonicalForm) -> tuple[dict, dict, dict, Counter]:
+    """Project a model, or a canonical form, onto its lookup tables in one linear pass.
+
+    Returns ``(services, volumes, networks, edges)``, unsorted. Each node table
+    maps a name to its attribute pairs, so the diff walks the three alike:
+    ``services`` in script order (sorted by key from a canonical form; the
+    diff reads them as mappings), each volume and network to ``()``.
+    ``edges`` counts each (kind value, src, dst, target) tuple, so a repeated
+    edge counts twice and a mount with no target (None) differs from one at
+    ``""``. A node name listed twice, which ``ArchModel.validate`` refuses,
+    counts once.
+    """
     if isinstance(model, CanonicalForm):
-        return KeyedForm(
-            dict(model.services),
-            dict.fromkeys(model.volumes, ()),
-            dict.fromkeys(model.networks, ()),
-            Counter(model.edges),
-        )
-    return KeyedForm(
-        services={service.name: _attr_pairs(service) for service in model.services},
-        volumes={v.name: () for v in model.volumes},
-        networks={n.name: () for n in model.networks},
-        edges=Counter(
-            (_KIND_VALUE[kind], src, dst, target) for kind, src, dst, target in model.edges
-        ),
+        services, volumes, networks, edges = model
+        return dict(services), dict.fromkeys(volumes, ()), dict.fromkeys(networks, ()), Counter(edges)
+    return (
+        {service.name: _attr_pairs(service) for service in model.services},
+        {v.name: () for v in model.volumes},
+        {n.name: () for n in model.networks},
+        Counter((_KIND_VALUE[kind], src, dst, target) for kind, src, dst, target in model.edges),
     )
 
 
 def canonicalize(model: ArchModel | CanonicalForm) -> CanonicalForm:
-    """Sort the keyed form of a model into its canonical form; idempotent on canonical forms."""
+    """Sort the lookup tables of a model into its canonical form; idempotent on canonical forms."""
     if isinstance(model, CanonicalForm):
         return model
-    form = keyed(model)
+    services, volumes, networks, edges = keyed(model)
     return CanonicalForm(
-        services=tuple(
-            sorted((name, tuple(sorted(pairs))) for name, pairs in form.services.items())
-        ),
-        volumes=tuple(sorted(form.volumes)),
-        networks=tuple(sorted(form.networks)),
-        edges=tuple(sorted(form.edges.elements(), key=edge_order)),
+        tuple(sorted((name, tuple(sorted(pairs))) for name, pairs in services.items())),
+        tuple(sorted(volumes)),
+        tuple(sorted(networks)),
+        tuple(sorted(edges.elements(), key=edge_order)),
     )
 
 

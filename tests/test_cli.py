@@ -574,6 +574,47 @@ class TestCheck:
             "verdict: Invalid\nerror: services.app.volumes: mounts data:/a twice\n",
         )
 
+    def test_lenient_conflict_notes_the_build_it_drops(self, capsys, tmp_path):
+        # lower draws the image of a service that declares both sources, so
+        # every report names the build the diagram leaves out, after the
+        # residue paths and in service order
+        src = tmp_path / "both.yml"
+        src.write_text(
+            "services:\n"
+            "  web:\n    image: nginx\n    build: ./web\n    ports: ['80:80']\n"
+            "  db:\n    image: postgres\n    build: ./db\n",
+            encoding="utf-8",
+        )
+        paths = ["services.web.ports", "services.web.build", "services.db.build"]
+        notes = "".join(f"note: residue excluded from diagram: {path}\n" for path in paths)
+        compared = "compared: left 2 nodes / 0 edges, right 2 nodes / 0 edges\n"
+        report = f"verdict: Consistent\n{compared}{notes}"
+        assert run(capsys, "check", "-i", str(src)) == (EXIT_OK, report, "")
+        code, out, err = run(capsys, "check", "-i", str(src), "-i", str(src))
+        assert (code, out) == (EXIT_OK, f"== {src}\n{report}== {src}\n{report}")
+        code, out, err = run(capsys, "check", "-i", str(src), "--report", "machine")
+        assert out.splitlines()[2:] == [
+            f"note\tresidue excluded from diagram: {path}" for path in paths
+        ]
+
+        script = tmp_path / "both.dac"
+        assert run(capsys, "generate", "-i", str(src), "-o", str(script))[0] == EXIT_OK
+        assert run(capsys, "check", "-i", str(script), "-i", str(src)) == (EXIT_OK, report, "")
+        code, out, err = run(capsys, "diff", "-i", str(src), "-i", str(src))
+        prefixed = notes.replace("diagram: ", f"diagram: {src}: ")
+        assert (code, out) == (EXIT_OK, f"verdict: Consistent\n{compared}{prefixed}{prefixed}")
+        assert err.count("ConflictingSource") == 4
+        code, out, err = run(capsys, "diff", "-i", str(script), "-i", str(src))
+        assert (code, out) == (EXIT_OK, f"verdict: Consistent\n{compared}{prefixed}")
+
+        code, out, err = run(capsys, "check", "-i", str(src), "--strict")
+        assert code == EXIT_INVALID
+        assert out == (
+            "verdict: Invalid\nerror: "
+            "ConflictingSource(services.web): declares both image and build; "
+            "ConflictingSource(services.db): declares both image and build\n"
+        )
+
 
 class TestDiff:
     def test_identical_descriptors(self, capsys):

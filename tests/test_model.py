@@ -9,6 +9,7 @@ import itertools
 import pickle
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from dad.model import (
     VolumeNode,
     assert_acyclic,
     canonicalize,
+    keyed,
     model_equal,
     record,
 )
@@ -129,6 +131,88 @@ class TestCanonicalize:
             ("build_dockerfile", "Dockerfile"),
             ("container_name", "c"),
         )
+
+
+class TestKeyed:
+    MODEL = ArchModel(
+        services=(
+            ServiceNode("web", image="nginx", container_name="front"),
+            ServiceNode("api", build=BuildRef("./api", "Dockerfile"), container_name="api_main"),
+            ServiceNode("db", image="postgres"),
+        ),
+        volumes=(VolumeNode("data"), VolumeNode("logs")),
+        networks=(NetworkNode("back"),),
+        edges=(
+            dep("web", "api"),
+            Edge(EdgeKind.LINK, "web", "api"),
+            Edge(EdgeKind.MOUNT, "db", "data"),
+            Edge(EdgeKind.MOUNT, "db", "data", target=""),
+            Edge(EdgeKind.ATTACHMENT, "api", "back"),
+            Edge(EdgeKind.ATTACHMENT, "api", "back"),
+        ),
+    )
+
+    def test_returns_the_four_tables_as_a_plain_tuple(self):
+        tables = keyed(self.MODEL)
+        assert type(tables) is tuple and len(tables) == 4
+        assert type(keyed(canonicalize(self.MODEL))) is tuple
+
+    def test_services_map_to_their_attribute_pairs_in_script_order(self):
+        services = keyed(self.MODEL)[0]
+        assert list(services) == ["web", "api", "db"]
+        assert services == {
+            "web": (("image", "nginx"), ("container_name", "front")),
+            "api": (
+                ("build_context", "./api"),
+                ("build_dockerfile", "Dockerfile"),
+                ("container_name", "api_main"),
+            ),
+            "db": (("image", "postgres"),),
+        }
+
+    def test_a_canonical_form_gives_pairs_sorted_by_key(self):
+        services = keyed(canonicalize(self.MODEL))[0]
+        assert services["web"] == (("container_name", "front"), ("image", "nginx"))
+        for name, pairs in keyed(self.MODEL)[0].items():
+            assert services[name] == tuple(sorted(pairs))
+
+    def test_volumes_and_networks_map_to_no_pairs(self):
+        for tables in (keyed(self.MODEL), keyed(canonicalize(self.MODEL))):
+            _, volumes, networks, _ = tables
+            assert volumes == {"data": (), "logs": ()}
+            assert networks == {"back": ()}
+
+    def test_edges_count_each_repeat_and_tell_no_target_from_an_empty_one(self):
+        for tables in (keyed(self.MODEL), keyed(canonicalize(self.MODEL))):
+            edges = tables[3]
+            assert edges == Counter(
+                {
+                    ("dependency", "web", "api", None): 1,
+                    ("link", "web", "api", None): 1,
+                    ("mount", "db", "data", None): 1,
+                    ("mount", "db", "data", ""): 1,
+                    ("attachment", "api", "back", None): 2,
+                }
+            )
+
+    def test_a_repeated_node_name_counts_once(self):
+        model = ArchModel(
+            services=(ServiceNode("a", image="x"), ServiceNode("a", image="x")),
+            volumes=(VolumeNode("v"), VolumeNode("v")),
+            networks=(NetworkNode("n"), NetworkNode("n")),
+        )
+        for tables in (keyed(model), keyed(canonicalize(model))):
+            services, volumes, networks, _ = tables
+            assert (services, volumes, networks) == ({"a": (("image", "x"),)}, {"v": ()}, {"n": ()})
+
+    def test_a_model_and_its_canonical_form_give_the_same_tables(self):
+        for model in (self.MODEL, scaled_model(40), ArchModel()):
+            services, volumes, networks, edges = keyed(model)
+            c_services, c_volumes, c_networks, c_edges = keyed(canonicalize(model))
+            assert (volumes, networks, edges) == (c_volumes, c_networks, c_edges)
+            assert {name: dict(pairs) for name, pairs in services.items()} == {
+                name: dict(pairs) for name, pairs in c_services.items()
+            }
 
 
 class TestModelEqual:
