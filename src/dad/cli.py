@@ -275,6 +275,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # the locale must not pick the bytes: a script saved with > reads back
+    # as the -o file does; each stream keeps its error handler
+    for stream in (sys.stdout, sys.stderr):
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     sys.exit(main(sys.argv[1:]))
 
 

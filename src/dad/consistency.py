@@ -50,16 +50,13 @@ _SIDES = {
 @record
 class DiffEntry:
     """One discrepancy. Missing* carries a left value only (the right side
-    lacks the element), Extra* a right value only, AttributeMismatch both."""
+    lacks the element), Extra* a right value only, AttributeMismatch both.
+    ``diff_models`` builds entries so; ``render_report`` refuses any other."""
 
     kind: DiffKind
     subject: str
     left: str | None = None
     right: str | None = None
-
-    def __post_init__(self):
-        if _SIDES.get(self.kind, (True, True)) != (self.left is not None, self.right is not None):
-            raise ValueError(f"{self.kind.value} entry has the wrong value sides")
 
 
 @record
@@ -268,8 +265,12 @@ def render_report(report: ConsistencyReport, fmt: str = "text") -> str:
 
     Machine lines: `verdict\\t<v>`, `stats\\t<ln>\\t<le>\\t<rn>\\t<re>`, one
     `<kind>\\t<subject>\\t<left>\\t<right>` line per issue, `note\\t<text>`
-    per note, `error\\t<text>` when invalid.
+    per note, `error\\t<text>` when invalid. An issue whose value sides
+    are not its kind's raises ``ValueError`` before anything is written.
     """
+    for kind, _, left, right in report.issues:
+        if _SIDES.get(kind, (True, True)) != (left is not None, right is not None):
+            raise ValueError(f"{kind.value} entry has the wrong value sides")
     if fmt == "machine":
         lines = [f"verdict\t{report.verdict.value}"]
         stats = report.stats

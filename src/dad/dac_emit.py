@@ -52,18 +52,25 @@ DEFAULT_ROLE_TABLE: tuple[tuple[str, str], ...] = (
 
 @record
 class EmitOptions:
+    """How to lay out a diagram. Built unchecked, like every record: the
+    emitters refuse a direction the reader would refuse (not TB or LR) and
+    an empty role table substring or role."""
+
     direction: str = "TB"
     group_by_role: bool = False
     role_table: tuple[tuple[str, str], ...] = DEFAULT_ROLE_TABLE
 
-    def __post_init__(self):
-        if self.direction not in ("TB", "LR"):
-            raise EmitError(f"direction must be TB or LR, got {self.direction!r}")
-        for substring, role in self.role_table:
-            if not substring:
-                raise EmitError("role table substrings must be nonempty")
-            if not role:
-                raise EmitError("role table roles must be nonempty")
+
+def _checked_options(opts: EmitOptions | None) -> EmitOptions:
+    opts = opts or EmitOptions()
+    if opts.direction not in ("TB", "LR"):
+        raise EmitError(f"direction must be TB or LR, got {opts.direction!r}")
+    for substring, role in opts.role_table:
+        if not substring:
+            raise EmitError("role table substrings must be nonempty")
+        if not role:
+            raise EmitError("role table roles must be nonempty")
+    return opts
 
 
 @record
@@ -196,7 +203,7 @@ def emit_dac(model: ArchModel, opts: EmitOptions | None = None) -> DacScript:
     on), one cluster per node, then every edge at body level: ``a >> b`` for
     dependencies, ``a - b`` for links, mounts and attachments.
     """
-    opts = opts or EmitOptions()
+    opts = _checked_options(opts)
     _checked(model)
 
     layout, idents = _layout(model, opts)
@@ -242,7 +249,7 @@ def emit_dot(model: ArchModel, opts: EmitOptions | None = None) -> str:
     line style; mount edges are labeled with their target path. Node IDs are
     the script's identifiers, quoted where one is a DOT keyword.
     """
-    opts = opts or EmitOptions()
+    opts = _checked_options(opts)
     _checked(model)
 
     layout, idents = _layout(model, opts)

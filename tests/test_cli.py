@@ -4,8 +4,9 @@ Every test drives ``cli.main`` in process and asserts on exit codes and
 captured streams, so the exit-code contract (0 consistent, 1 inconsistent,
 2 invalid, 3 I/O, 4 internal error) is pinned exactly where CI scripts would
 observe it. Two tests also run ``dad check`` as a subprocess, to see that it
-ends by its exit code and not by a signal or a traceback, and
-``TestColdProcess`` checks what a fresh ``dad`` process imports, and that
+ends by its exit code and not by a signal or a traceback,
+``TestOutputEncoding`` runs commands under locales that cannot write UTF-8,
+and ``TestColdProcess`` checks what a fresh ``dad`` process imports, and that
 its output bytes do not depend on the hash seed.
 """
 
@@ -993,6 +994,39 @@ class TestCrashExits:
         assert out == ""
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("error: internal error: RuntimeError: boom\n")
+
+
+NON_ASCII_DESCRIPTOR = """\
+services:
+  café:
+    image: nginx
+    ports: ["80:80"]
+    depends_on: [bäckerei]
+  bäckerei:
+    image: postgres:16
+"""
+
+
+class TestOutputEncoding:
+    """The installed command writes UTF-8 whatever the locale says, so what
+    a shell saves with > is the -o file and reads back."""
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize("sub", ["generate", "invert", "check"])
+    def test_stdout_bytes_are_the_output_file(self, tmp_path, sub, encoding):
+        descriptor = tmp_path / "café.yml"
+        descriptor.write_text(NON_ASCII_DESCRIPTOR, encoding="utf-8")
+        script = tmp_path / "café.dac"
+        script.write_text(emit_dac(lower(parse_compose(NON_ASCII_DESCRIPTOR), "café")).text, encoding="utf-8")
+        argv = [sys.executable, "-m", "dad.cli", sub, "-i", str(script if sub == "invert" else descriptor)]
+        env = {**os.environ, "PYTHONIOENCODING": encoding}
+        written = tmp_path / "out"
+        saved = subprocess.run([*argv, "-o", str(written)], capture_output=True, timeout=120, env=env)
+        assert saved.returncode == EXIT_OK, saved.stderr
+        proc = subprocess.run(argv, capture_output=True, timeout=120, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "é".encode() in proc.stdout
+        assert proc.stdout == written.read_bytes()
 
 
 def cli_generate_text(capsys, path) -> str:

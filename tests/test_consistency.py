@@ -1,5 +1,6 @@
 """Round-trip verification and structural diff tests."""
 
+import itertools
 import random
 import textwrap
 import time
@@ -38,7 +39,7 @@ from dad.model import (
     model_equal,
 )
 
-from specgen import doc_to_yaml, gen_descriptor_doc, gen_model, mutate_model
+from specgen import doc_to_yaml, gen_descriptor_doc, gen_model, mutate_model, perfbench_gen
 
 # Script fragment whose declarations for zookeeper were torn off, paired with
 # a descriptor fragment that knows nothing about the messaging services.
@@ -387,6 +388,47 @@ class TestRenderReport:
         left = render_report(check_diagram_against_descriptor(PARTIAL_SCRIPT, FRAGMENT_DESCRIPTOR))
         right = render_report(check_diagram_against_descriptor(PARTIAL_SCRIPT, FRAGMENT_DESCRIPTOR))
         assert left == right
+
+
+# The value sides, (left, right), each kind of entry carries
+ENTRY_SIDES = {
+    DiffKind.MISSING_NODE: (True, False),
+    DiffKind.MISSING_EDGE: (True, False),
+    DiffKind.EXTRA_NODE: (False, True),
+    DiffKind.EXTRA_EDGE: (False, True),
+    DiffKind.ATTRIBUTE_MISMATCH: (True, True),
+}
+
+
+def assert_sided(entries: list[DiffEntry], seen: Counter) -> None:
+    for entry in entries:
+        assert (entry.left is not None, entry.right is not None) == ENTRY_SIDES[entry.kind], entry
+        seen[entry.kind] += 1
+
+
+class TestDiffEntrySides:
+    """diff_models, the only producer of entries, gives each kind exactly its sides."""
+
+    def test_specgen_pairs(self):
+        seen = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            left = gen_model(rng)
+            right = mutate_model(rng, left)[0] if rng.random() < 0.7 else gen_model(rng)
+            for a, b in ((left, right), (right, left)):
+                assert_sided(diff_models(a, b), seen)
+                assert_sided(diff_models(canonicalize(a), b), seen)
+        assert set(seen) == set(DiffKind)
+
+    def test_drift_pairs(self):
+        gen = perfbench_gen()
+        seen = Counter()
+        for seed, share in itertools.product(range(3), (0.1, 0.5)):
+            pair = gen.drift_pair(random.Random(seed), 40, share)
+            old, new = lift(parse_dac(pair.old)), lift(parse_dac(pair.new))
+            assert_sided(diff_models(old, new), seen)
+            assert_sided(diff_models(new, old), seen)
+        assert set(seen) == set(DiffKind)
 
 
 @pytest.mark.parametrize("depth", [5000, 100000])

@@ -1,6 +1,8 @@
 """Diagram script and DOT emission tests: grammar shape, determinism,
 totality, identifier sanitization, role grouping, annotation encoding."""
 
+import copy
+import pickle
 import random
 import re
 import time
@@ -299,10 +301,57 @@ class TestRoleGrouping:
         assert [s[2] for s in emit_dac(model).identifiers] == ["web", "db"]
 
     def test_option_validation(self):
-        with pytest.raises(EmitError):
-            EmitOptions(direction="BT")
-        with pytest.raises(EmitError):
-            EmitOptions(role_table=(("", "database"),))
+        for opts in (EmitOptions(direction="BT"), EmitOptions(role_table=(("", "database"),))):
+            with pytest.raises(EmitError):
+                emit_dac(MESSAGE_STACK, opts)
+
+
+# Each bad option, as the fields it changes and the EmitError it raises
+BAD_OPTIONS = {
+    "direction": ({"direction": "BT"}, "direction must be TB or LR, got 'BT'"),
+    "substring": ({"role_table": (("", "database"),)}, "role table substrings must be nonempty"),
+    "role": ({"role_table": (("db", ""),)}, "role table roles must be nonempty"),
+}
+# Every way to build an EmitOptions value, from its plain field values and
+# the fields that differ from the defaults
+OPTION_ROUTES = {
+    "positional": lambda values, changes: EmitOptions(*values),
+    "keyword": lambda values, changes: EmitOptions(**changes),
+    "_replace": lambda values, changes: EmitOptions()._replace(**changes),
+    "_make": lambda values, changes: EmitOptions._make(values),
+    "tuple.__new__": lambda values, changes: tuple.__new__(EmitOptions, values),
+    "copy": lambda values, changes: copy.deepcopy(EmitOptions(**changes)),
+    "pickle": lambda values, changes: pickle.loads(pickle.dumps(EmitOptions(**changes))),
+}
+
+
+def build_options(route, changes: dict) -> EmitOptions:
+    values = tuple({**EmitOptions()._asdict(), **changes}.values())
+    opts = route(values, changes)
+    assert type(opts) is EmitOptions and tuple(opts) == values
+    return opts
+
+
+class TestOptionChecks:
+    """The emitters check the options they read, so no way of building them gets past."""
+
+    @pytest.mark.parametrize("emit", [emit_dac, emit_dot])
+    @pytest.mark.parametrize("route", OPTION_ROUTES.values(), ids=OPTION_ROUTES.keys())
+    @pytest.mark.parametrize("bad", BAD_OPTIONS.values(), ids=BAD_OPTIONS.keys())
+    def test_bad_options_are_refused_however_built(self, emit, route, bad):
+        changes, message = bad
+        opts = build_options(route, changes)
+        with pytest.raises(EmitError) as caught:
+            emit(MESSAGE_STACK, opts)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("emit", [emit_dac, emit_dot])
+    def test_options_are_checked_before_the_model(self, emit):
+        unnamed = ArchModel(services=(ServiceNode(""),))
+        with pytest.raises(EmitError, match="empty name"):
+            emit(unnamed)
+        with pytest.raises(EmitError, match="direction must be TB or LR"):
+            emit(unnamed, EmitOptions(direction="BT"))
 
 
 class TestEmitDot:

@@ -4,7 +4,6 @@ the value semantics of every record and mutable value type in dad."""
 from __future__ import annotations
 
 import copy
-import inspect
 import itertools
 import pickle
 import random
@@ -14,7 +13,7 @@ from collections import Counter
 import pytest
 
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, ValidationIssue
-from dad.consistency import ConsistencyReport, DiffEntry, DiffKind, ReportStats, Verdict
+from dad.consistency import ConsistencyReport, DiffEntry, DiffKind, ReportStats, Verdict, render_report
 from dad.dac_emit import DEFAULT_ROLE_TABLE, DacScript, EmitOptions, emit_dac, emit_dot
 from dad.dac_ingest import DacAst, DacCluster, DacEdge, DacNode, emit_compose
 from dad.errors import CycleError, EmitError, ModelError
@@ -464,21 +463,6 @@ RECORDS = {
 RECORD_VALUES = [value for value, _ in RECORDS.values()]
 
 
-@record
-class Span:
-    """A checked record at module level, so pickle can find it."""
-
-    start: int
-    end: int = 10
-    label: str = ""
-    checked = []  # not a field: no annotation; the values each check saw
-
-    def __post_init__(self):
-        Span.checked.append(tuple(self))
-        if self.start > self.end:
-            raise ValueError("start after end")
-
-
 def field_values(value) -> dict:
     return {name: getattr(value, name) for name in type(value).__match_args__}
 
@@ -555,6 +539,16 @@ class TestRecords:
         with pytest.raises(TypeError):
             ServiceNode("a", color="red")
 
+    def test_record_refuses_a_check_it_would_never_run(self):
+        with pytest.raises(TypeError, match="^Checked: records run no __post_init__"):
+
+            @record
+            class Checked:
+                a: int
+
+                def __post_init__(self):
+                    raise ValueError("never runs")
+
     def test_record_refuses_a_required_field_after_a_default(self):
         with pytest.raises(TypeError, match="without a default"):
 
@@ -575,10 +569,13 @@ class TestRecords:
         ],
     )
     def test_diff_entry_with_the_wrong_sides_raises(self, kind, left, right):
-        with pytest.raises(ValueError, match="wrong value sides"):
-            DiffEntry(kind, "s", left, right)
-        with pytest.raises(ValueError, match="wrong value sides"):
-            DiffEntry(kind=kind, subject="s", left=left, right=right)
+        # built unchecked; the report refuses it, in both formats
+        for entry in (DiffEntry(kind, "s", left, right), DiffEntry(kind=kind, subject="s", left=left, right=right)):
+            assert (entry.left, entry.right) == (left, right)
+            report = ConsistencyReport(Verdict.INCONSISTENT, issues=(entry,))
+            for fmt in ("text", "machine"):
+                with pytest.raises(ValueError, match=f"{kind.value} entry has the wrong value sides"):
+                    render_report(report, fmt)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -589,18 +586,24 @@ class TestRecords:
         ],
     )
     def test_bad_emit_options_raise(self, kwargs, message):
-        with pytest.raises(EmitError, match=message):
-            EmitOptions(**kwargs)
+        # built unchecked; both emitters refuse them
+        opts = EmitOptions(**kwargs)
+        for emit in (emit_dac, emit_dot):
+            with pytest.raises(EmitError, match=message):
+                emit(ArchModel(), opts)
 
     def test_make_and_replace_run_the_check(self):
+        # the values they build are checked where they are read
         with pytest.raises(EmitError, match="direction must be TB or LR"):
-            EmitOptions()._replace(direction="XX")
+            emit_dac(ArchModel(), EmitOptions()._replace(direction="XX"))
         with pytest.raises(EmitError, match="roles must be nonempty"):
-            EmitOptions._make(("TB", False, (("db", ""),)))
-        with pytest.raises(ValueError, match="wrong value sides"):
-            DiffEntry._make((DiffKind.MISSING_EDGE, "s", None, None))
-        with pytest.raises(ValueError, match="wrong value sides"):
-            DiffEntry(DiffKind.MISSING_EDGE, "s", "x")._replace(right="y")
+            emit_dot(ArchModel(), EmitOptions._make(("TB", False, (("db", ""),))))
+        for entry in (
+            DiffEntry._make((DiffKind.MISSING_EDGE, "s", None, None)),
+            DiffEntry(DiffKind.MISSING_EDGE, "s", "x")._replace(right="y"),
+        ):
+            with pytest.raises(ValueError, match="wrong value sides"):
+                render_report(ConsistencyReport(Verdict.INCONSISTENT, issues=(entry,)))
         entry = DiffEntry(DiffKind.MISSING_EDGE, "s", "x")
         assert entry._replace(left="y") == DiffEntry(DiffKind.MISSING_EDGE, "s", "y")
         assert DiffEntry._make(entry) == entry
@@ -609,34 +612,6 @@ class TestRecords:
             DiffEntry._make((DiffKind.MISSING_EDGE, "s"))
         with pytest.raises(ValueError, match="unexpected field names"):
             entry._replace(middle="m")
-
-    def test_checked_record_construction(self):
-        checked = Span.checked
-        checked.clear()
-        assert inspect.signature(Span) == inspect.signature(lambda start, end=10, label="": None)
-        assert Span(1) == Span(1, 10) == Span(1, 10, "") == Span(start=1) == Span(1, label="", end=10)
-        assert checked == [(1, 10, "")] * 5
-        with pytest.raises(TypeError):
-            Span()
-        with pytest.raises(TypeError):
-            Span(1, 2, "x", 4)
-        with pytest.raises(TypeError):
-            Span(1, start=2)
-        with pytest.raises(ValueError, match="start after end"):
-            Span(11)
-        with pytest.raises(ValueError, match="start after end"):
-            Span(start=3, end=2)
-        span = Span(2, 5, "s")
-        checked.clear()
-        copies = [copy.copy(span), copy.deepcopy(span)]
-        copies += [pickle.loads(pickle.dumps(span, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for other in copies:
-            assert type(other) is Span and other == span
-        # pickle and deepcopy rebuild through the checked constructor
-        assert len(checked) >= 1 + pickle.HIGHEST_PROTOCOL
-        assert span._replace(label="t") == Span(2, 5, "t")
-        with pytest.raises(ValueError, match="start after end"):
-            span._replace(start=6)
 
 
 class TestMutableValues:
