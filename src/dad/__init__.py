@@ -25,7 +25,7 @@ _EXPORTS = {
         "compare_models diff_models render_report round_trip_check"
     ),
     "dac_emit": "DEFAULT_ROLE_TABLE DacScript EmitOptions emit_dac emit_dot role_of sanitize_ident",
-    "dac_ingest": "DacAst DacCluster DacEdge DacNode emit_compose lift parse_dac",
+    "dac_ingest": "DacAst DacEdge DacNode emit_compose lift parse_dac",
     "errors": (
         "ComposeSyntaxError CycleError DacSyntaxError DadError DuplicateIdentError EmitError "
         "LiftError LoweringError ModelError SchemaError UndeclaredIdentError"

@@ -20,6 +20,11 @@ Trailing annotations carry the node attributes and mount targets that the
 pictures alone would lose; they are what makes the inverse direction
 information-preserving.
 
+A cluster's NAME and its grouping are layout: the reader checks that each
+cluster holds a node, and keeps neither. ``emit_dac`` returns a ``DacScript``
+that holds only the text; a script's identifiers are read back from it, as
+``parse_dac(text).nodes``.
+
 The reader, ``dac_ingest``, owns what both sides share: the KIND word per node
 class, the named escapes (inverted here), the decoders and the emitters'
 guard, so a command that only reads a script never loads this module.
@@ -76,8 +81,6 @@ def _checked_options(opts: EmitOptions | None) -> EmitOptions:
 @record
 class DacScript:
     text: str
-    # (ident, constructor kind, label) per emitted node, in script order
-    identifiers: tuple[tuple[str, str, str], ...] = ()
 
 
 def _ident_base(name: str) -> str:
@@ -207,8 +210,6 @@ def emit_dac(model: ArchModel, opts: EmitOptions | None = None) -> DacScript:
     _checked(model)
 
     layout, idents = _layout(model, opts)
-    identifiers = tuple((ident, _KIND_BY_NODE[type(node)], node.name) for node, ident in layout)
-
     lines = [f'with DaC("{escape_quoted(model.title)}", direction="{opts.direction}"):']
     if not layout and not model.edges:
         lines.append("  pass")
@@ -224,7 +225,7 @@ def emit_dac(model: ArchModel, opts: EmitOptions | None = None) -> DacScript:
         annot = _format_annotations((("target", edge.target),) if edge.target is not None else ())
         src, dst = _endpoints(edge, idents)
         lines.append(f"  {src} {op} {dst}{annot}")
-    return DacScript(text="\n".join(lines) + "\n", identifiers=identifiers)
+    return DacScript("\n".join(lines) + "\n")
 
 
 _DOT_SHAPE = {ServiceNode: "box", VolumeNode: "cylinder", NetworkNode: "diamond"}

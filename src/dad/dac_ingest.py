@@ -17,6 +17,11 @@ line's number is its match's place. The pattern reads a mount's lone target
 itself; other annotations are split by _parse_annotations, each distinct
 node annotation text once per script. lift then visits each node and edge
 once.
+
+The AST is flat: DacAst holds the title, the direction, the nodes in script
+order and the edges. A cluster header is layout only. The reader checks that
+each cluster holds a node, but keeps neither its name nor its grouping, so
+regrouping a script's nodes never changes its model.
 """
 
 from __future__ import annotations
@@ -109,13 +114,6 @@ class DacNode:
 
 
 @record
-class DacCluster:
-    name: str
-    nodes: tuple[DacNode, ...] = ()
-    line: int = 0
-
-
-@record
 class DacEdge:
     op: str  # ">>" | "-"
     src: str
@@ -128,11 +126,8 @@ class DacEdge:
 class DacAst:
     title: str
     direction: str
-    clusters: tuple[DacCluster, ...] = ()
+    nodes: tuple[DacNode, ...] = ()  # in script order; cluster headers are layout only
     edges: tuple[DacEdge, ...] = ()
-
-    def nodes(self) -> tuple[DacNode, ...]:
-        return tuple(node for cluster in self.clusters for node in cluster.nodes)
 
 
 # the annotation keys each constructor word's node understands
@@ -188,10 +183,10 @@ def _diagnose(line: str, lineno: int) -> DacSyntaxError:
     )
 
 
-def _close_cluster(clusters: list[DacCluster], name: str, line: int, nodes: list[DacNode]) -> None:
-    if not nodes:
-        raise DacSyntaxError(f"cluster {name!r} has no nodes", line, col=3, expected="node line")
-    clusters.append(DacCluster(name, tuple(nodes), line))
+def _empty_cluster(name: str, line: int) -> DacSyntaxError:
+    return DacSyntaxError(
+        f"cluster {unescape_quoted(name)!r} has no nodes", line, col=3, expected="node line"
+    )
 
 
 def parse_dac(text: str, strict: bool = True) -> DacAst:
@@ -200,7 +195,8 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
     Strict mode requires every edge identifier to be declared in a cluster;
     with strict off, unknown identifiers are left for lift to resolve as
     phantom services. Everything else about the grammar is always enforced,
-    including the one-pass-only empty body and nonempty clusters.
+    including the one-pass-only empty body and nonempty clusters. The AST
+    lists the nodes in script order; cluster names are checked, not kept.
     """
     if not text.endswith("\n"):
         raise DacSyntaxError("missing trailing newline", max(text.count("\n") + 1, 1))
@@ -214,13 +210,13 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
         )
     title, direction = unescape_quoted(header.group(1)), header.group(2)
 
-    clusters: list[DacCluster] = []
     edges: list[DacEdge] = []
     declared: dict[str, DacNode] = {}
     # a node annotation text -> its pairs; scripts repeat most of them
     node_annots: dict[str, Annotations] = {}
-    # the open cluster; nodes is None while no cluster is open
-    cluster_name, cluster_line, nodes = "", 0, None
+    # the open cluster: its quoted name, its line (0 while none is open) and
+    # how many nodes were declared when it opened
+    cluster_name, cluster_line, opened_at = "", 0, 0
     saw_pass = False
     # a match's groups are None where they did not take part
     for lineno, match in enumerate(_LINE_RE.finditer(text, body), 2):
@@ -228,7 +224,7 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
         if saw_pass:
             raise DacSyntaxError("content after pass", lineno, expected="end of script")
         if kind:
-            if nodes is None:
+            if not cluster_line:
                 raise DacSyntaxError(
                     "node outside a cluster", lineno, col=5, expected="cluster header first"
                 )
@@ -240,12 +236,11 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
                     pairs = node_annots[annot] = _parse_annotations(annot[4:], lineno)
             else:
                 pairs = ()
-            node = declared[ident] = DacNode(ident, kind, unescape_quoted(label), pairs, lineno)
-            nodes.append(node)
+            declared[ident] = DacNode(ident, kind, unescape_quoted(label), pairs, lineno)
         elif op:
-            if nodes is not None:
-                _close_cluster(clusters, cluster_name, cluster_line, nodes)
-                nodes = None
+            if cluster_line and len(declared) == opened_at:
+                raise _empty_cluster(cluster_name, cluster_line)
+            cluster_line = 0
             if strict:
                 if src not in declared:
                     raise UndeclaredIdentError(src, lineno)
@@ -259,23 +254,24 @@ def parse_dac(text: str, strict: bool = True) -> DacAst:
                 pairs = ()
             edges.append(DacEdge(op, src, dst, pairs, lineno))
         elif not other:
-            if nodes is not None:
-                _close_cluster(clusters, cluster_name, cluster_line, nodes)
-            cluster_name, cluster_line, nodes = unescape_quoted(name), lineno, []
+            if cluster_line and len(declared) == opened_at:
+                raise _empty_cluster(cluster_name, cluster_line)
+            cluster_name, cluster_line, opened_at = name, lineno, len(declared)
         elif other == "  pass\n":
-            if clusters or edges or nodes is not None:
+            # every body line before it opened a cluster or is an edge
+            if cluster_line or edges:
                 raise DacSyntaxError(
                     "pass is allowed only as the sole body line", lineno, col=3
                 )
             saw_pass = True
         else:
             raise _diagnose(other[:-1], lineno)
-    if nodes is not None:
-        _close_cluster(clusters, cluster_name, cluster_line, nodes)
+    if cluster_line and len(declared) == opened_at:
+        raise _empty_cluster(cluster_name, cluster_line)
 
-    if not clusters and not edges and not saw_pass:
+    if not declared and not edges and not saw_pass:
         raise DacSyntaxError("empty body", text.count("\n") + 1, expected="cluster, edge or pass")
-    return DacAst(title, direction, tuple(clusters), tuple(edges))
+    return DacAst(title, direction, tuple(declared.values()), tuple(edges))
 
 
 _NODE_TYPE = {kind: node_type for node_type, kind in _KIND_BY_NODE.items()}
@@ -311,7 +307,8 @@ def _lift_node(kind: str, label: str, annotations: Annotations, line: int):
 def lift(ast: DacAst) -> ArchModel:
     """Turn a parsed script into the graph model.
 
-    Labels become node names. ``>>`` maps to Dependency; ``-`` is read off
+    Nodes are read in script order, whatever clusters held them, and labels
+    become node names. ``>>`` maps to Dependency; ``-`` is read off
     the endpoint kinds through ``_UNDIRECTED``, the model's edge table read
     backwards: service-service is Link, service-volume is Mount (normalized
     service first), service-network is Attachment. Identifiers that were
@@ -325,11 +322,10 @@ def lift(ast: DacAst) -> ArchModel:
     networks: list[NetworkNode] = []
     by_ident: dict[str, tuple[type, str]] = {}  # ident -> (node class, node name)
     nodes_of = {ServiceNode: services, VolumeNode: volumes, NetworkNode: networks}
-    for cluster in ast.clusters:
-        for ident, kind, label, annotations, line in cluster.nodes:
-            node = _lift_node(kind, label, annotations, line)
-            by_ident[ident] = (node.__class__, label)  # a node is named by its label
-            nodes_of[node.__class__].append(node)
+    for ident, kind, label, annotations, line in ast.nodes:
+        node = _lift_node(kind, label, annotations, line)
+        by_ident[ident] = (node.__class__, label)  # a node is named by its label
+        nodes_of[node.__class__].append(node)
 
     def phantom(ident: str) -> tuple[type, str]:
         # an identifier never declared is a phantom service, added on first use

@@ -762,9 +762,9 @@ def test_cyclic_input_is_invalid_on_every_path(seed, pick):
     model = gen_model(random.Random(seed))
     cyclic, src, dst = with_back_edge(model, pick)
     descriptor = {"acyclic": serialize_compose(unlower(model)), "cyclic": serialize_compose(unlower(cyclic))}
-    emitted = emit_dac(model)
-    idents = {label: ident for ident, kind, label in emitted.identifiers if kind == "Server"}
-    script = {"acyclic": emitted.text, "cyclic": emitted.text + f"  {idents[src]} >> {idents[dst]}\n"}
+    emitted = emit_dac(model).text
+    idents = {node.label: node.ident for node in parse_dac(emitted).nodes if node.kind == "Server"}
+    script = {"acyclic": emitted, "cyclic": emitted + f"  {idents[src]} >> {idents[dst]}\n"}
 
     invalid = [
         round_trip_check(descriptor["cyclic"]),

@@ -162,16 +162,16 @@ class TestEmitDac:
         model = ArchModel(services=(ServiceNode("ghost", phantom=True),))
         assert "# phantom=true" in emit_dac(model).text
 
-    def test_identifiers_tuple_matches_script(self):
-        script = emit_dac(MESSAGE_STACK)
-        assert [entry[0] for entry in script.identifiers] == [
+    def test_script_declares_one_identifier_per_node(self):
+        nodes = parse_dac(emit_dac(MESSAGE_STACK).text).nodes
+        assert [node.ident for node in nodes] == [
             "mysql",
             "connect",
             "kafka",
             "zookeeper",
         ]
-        assert {entry[1] for entry in script.identifiers} == {"Server"}
-        assert len({entry[0] for entry in script.identifiers}) == len(script.identifiers)
+        assert {node.kind for node in nodes} == {"Server"}
+        assert len({node.ident for node in nodes}) == len(nodes)
 
     def test_determinism_across_equal_runs(self):
         rng = random.Random(3)
@@ -208,11 +208,11 @@ class TestEmitDac:
         rng = random.Random(8)
         for _ in range(20):
             model = gen_model(rng)
-            script = emit_dac(model)
-            ident = {label: name for name, _, label in script.identifiers}
+            text = emit_dac(model).text
+            ident = {node.label: node.ident for node in parse_dac(text).nodes if node.kind == "Server"}
             for edge in model.edges:
                 if edge.kind is EdgeKind.DEPENDENCY:
-                    assert f"  {ident[edge.src]} >> {ident[edge.dst]}" in script.text
+                    assert f"  {ident[edge.src]} >> {ident[edge.dst]}" in text
 
     def test_canonically_distinct_models_emit_distinct_scripts(self):
         rng = random.Random(9)
@@ -281,7 +281,7 @@ class TestRoleGrouping:
             ),
         )
         script = emit_dac(model, EmitOptions(group_by_role=True))
-        order = [label for _, _, label in script.identifiers]
+        order = [node.label for node in parse_dac(script.text).nodes]
         assert order == ["db", "replica", "web", "api"]
 
     def test_grouping_is_stable_within_role(self):
@@ -292,13 +292,13 @@ class TestRoleGrouping:
             ),
         )
         script = emit_dac(model, EmitOptions(group_by_role=True))
-        assert [label for _, _, label in script.identifiers] == ["db2", "db1"]
+        assert [node.label for node in parse_dac(script.text).nodes] == ["db2", "db1"]
 
     def test_grouping_off_preserves_model_order(self):
         model = ArchModel(
             services=(ServiceNode("web", image="nginx"), ServiceNode("db", image="mysql")),
         )
-        assert [s[2] for s in emit_dac(model).identifiers] == ["web", "db"]
+        assert [node.label for node in parse_dac(emit_dac(model).text).nodes] == ["web", "db"]
 
     def test_option_validation(self):
         for opts in (EmitOptions(direction="BT"), EmitOptions(role_table=(("", "database"),))):
@@ -443,12 +443,12 @@ class TestIdentifierAssignment:
                 services=tuple(ServiceNode(n) for n in names),
                 volumes=tuple(VolumeNode(n) for n in rng.sample(pool, 3)),
             )
-            got = [ident for ident, _, _ in emit_dac(model).identifiers]
+            got = [node.ident for node in parse_dac(emit_dac(model).text).nodes]
             assert got == sequential_idents(model)
 
     def test_literal_suffix_name_is_never_reused(self):
         model = ArchModel(services=tuple(ServiceNode(n) for n in ("x-", "x_2", "x.", "x!")))
-        idents = [ident for ident, _, _ in emit_dac(model).identifiers]
+        idents = [node.ident for node in parse_dac(emit_dac(model).text).nodes]
         assert idents == ["x_", "x_2", "x__2", "x__3"]
 
     def test_service_and_volume_may_share_a_name(self):

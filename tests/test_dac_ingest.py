@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dad import cli
-from dad.dac_emit import EmitOptions, emit_dac
+from dad.dac_emit import EmitOptions, emit_dac, escape_quoted
 from dad.dac_ingest import DacAst, _parse_annotations, emit_compose, lift, parse_dac
 from dad.compose import lower, parse_compose
 from dad.errors import (
@@ -63,10 +63,11 @@ class TestParse:
     def test_partial_script_lenient(self):
         ast = parse_dac(PARTIAL_SCRIPT, strict=False)
         assert ast.title == "dblog system" and ast.direction == "TB"
-        assert [c.name for c in ast.clusters] == [
-            "mysql service",
-            "dblog service",
-            "kafka service",
+        # the nodes in script order; the cluster headers are layout only
+        assert [(n.ident, n.label) for n in ast.nodes] == [
+            ("mysql", "mysql"),
+            ("connect", "connect"),
+            ("kafka", "kafka"),
         ]
         assert [(e.op, e.src, e.dst) for e in ast.edges] == [
             (">>", "kafka", "zookeeper"),
@@ -81,14 +82,14 @@ class TestParse:
     def test_header_with_pass_gives_empty_ast(self):
         ast = parse_dac('with DaC("empty one", direction="LR"):\n  pass\n')
         assert ast.title == "empty one" and ast.direction == "LR"
-        assert ast.clusters == () and ast.edges == ()
+        assert ast.nodes == () and ast.edges == ()
 
     def test_annotations_are_decoded_pairs(self):
         text = build_script(
             '  with Cluster("db service"):',
             '    db = Server("db")  # image=mysql:8,container_name=db%2C1',
         )
-        node = parse_dac(text).nodes()[0]
+        node = parse_dac(text).nodes[0]
         assert node.annotations == (("image", "mysql:8"), ("container_name", "db,1"))
 
     def test_quoted_strings_unescape(self):
@@ -97,8 +98,7 @@ class TestParse:
 
     def test_line_numbers_tracked(self):
         ast = parse_dac(PARTIAL_SCRIPT, strict=False)
-        assert ast.clusters[0].line == 2
-        assert ast.clusters[0].nodes[0].line == 3
+        assert [node.line for node in ast.nodes] == [3, 5, 7]
         assert ast.edges[0].line == 8
 
     def test_duplicate_ident_rejected(self):
@@ -121,7 +121,7 @@ class TestParse:
             '    a_2 = Server("b")',
         )
         ast = parse_dac(text, strict=False)
-        assert len(ast.clusters) == 2 and len(ast.edges) == 1
+        assert [n.ident for n in ast.nodes] == ["a", "a_2"] and len(ast.edges) == 1
 
 
 class TestParseErrors:
@@ -534,8 +534,7 @@ class TestAnnotationText:
             assert (type(exc.value), str(exc.value), exc.value.line) == errors[0]
             return
         ast = parse_dac(text)
-        (cluster,) = ast.clusters
-        servers = [node for node in cluster.nodes if node.kind == "Server"]
+        servers = [node for node in ast.nodes if node.kind == "Server"]
         assert [node.annotations for node in servers] + [edge.annotations for edge in ast.edges] == expected
 
         # a script that parses diffs Consistent/0 against itself, unless lift
@@ -580,3 +579,95 @@ class TestAnnotationText:
             with pytest.raises(DacSyntaxError, match=message) as exc:
                 parse_dac(text)
             assert exc.value.line == 5
+
+
+def regroup(text: str, sizes: list[int], names: list[str]) -> str:
+    """The script with its node lines, in order, under new cluster headers.
+
+    The k-th cluster takes the next ``sizes[k % len(sizes)]`` node lines and
+    is named ``names[k % len(names)]``, escaped; the edge lines follow, as
+    the emitter writes them.
+    """
+    header, *body = text.splitlines(keepends=True)
+    nodes = [line for line in body if line.startswith("    ")]
+    rest = [line for line in body if not line.startswith(("    ", "  with Cluster("))]
+    clusters = []
+    while nodes:
+        k = len(clusters)
+        size = sizes[k % len(sizes)]
+        name = escape_quoted(names[k % len(names)])
+        clusters.append(f'  with Cluster("{name}"):\n' + "".join(nodes[:size]))
+        del nodes[:size]
+    return header + "".join(clusters) + "".join(rest)
+
+
+# names a cluster may carry, escapes included
+ESCAPED_NAMES = ['a "q"', "back\\slash", "tab\there", "line\nend", "nul\x00", "dé", "", "a service"]
+CLUSTER_NAMES = st.one_of(
+    st.sampled_from(ESCAPED_NAMES), st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+)
+
+
+class TestClusterHeadersAreLayout:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        names=st.lists(CLUSTER_NAMES, min_size=1, max_size=6),
+    )
+    def test_regrouped_script_lifts_to_the_same_model(self, seed, sizes, names):
+        emitted = emit_dac(gen_model(random.Random(seed))).text
+        regrouped = regroup(emitted, sizes, names)
+        for strict in (True, False):
+            ast, original = parse_dac(regrouped, strict), parse_dac(emitted, strict)
+            # the same nodes in the same order; only their line numbers move
+            assert [node[:4] for node in ast.nodes] == [node[:4] for node in original.nodes]
+            assert lift(ast) == lift(original)
+
+    def test_regrouped_script_diffs_and_checks_consistent(self):
+        rng = random.Random(31)
+        for n in range(20):
+            model = gen_model(rng)
+            emitted = emit_dac(model).text
+            regrouped = regroup(emitted, [1 + n % 4, 2], ESCAPED_NAMES[n % len(ESCAPED_NAMES) :])
+            assert regrouped != emitted or not model.services
+            with tempfile.TemporaryDirectory() as work:
+                paths = {}
+                texts = {"emitted.dac": emitted, "regrouped.dac": regrouped, "d.yml": emit_compose(model)}
+                for name, text in texts.items():
+                    paths[name] = os.path.join(work, name)
+                    with open(paths[name], "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                runs = [
+                    ["diff", "-i", paths["emitted.dac"], "-i", paths["regrouped.dac"]],
+                    ["diff", "-i", paths["regrouped.dac"], "-i", paths["emitted.dac"], "--strict"],
+                    ["check", "-i", paths["d.yml"], "-i", paths["emitted.dac"]],
+                    ["check", "-i", paths["d.yml"], "-i", paths["regrouped.dac"]],
+                    ["check", "-i", paths["d.yml"], "-i", paths["regrouped.dac"], "--strict"],
+                ]
+                for argv in runs:
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    assert code == 0, (argv, regrouped, out.getvalue(), err.getvalue())
+
+    # an empty cluster is refused at its header whatever closes it, its name
+    # unescaped in the message
+    @pytest.mark.parametrize(
+        "quoted, shown",
+        [("empty", "'empty'"), ('e \\"q\\"', "'e \"q\"'"), ("x\\ny\\\\", "'x\\ny\\\\'")],
+    )
+    @pytest.mark.parametrize(
+        "closer",
+        [('  with Cluster("b"):', '    b = Server("b")'), ("  a - a",), ()],
+        ids=["next cluster", "edge", "end of script"],
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_empty_cluster_is_refused_at_its_header(self, quoted, shown, closer, strict):
+        text = build_script(
+            '  with Cluster("a"):', '    a = Server("a")', f'  with Cluster("{quoted}"):', *closer
+        )
+        with pytest.raises(DacSyntaxError) as exc:
+            parse_dac(text, strict)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (4, 3, "node line")
+        assert str(exc.value) == f"line 4, col 3: cluster {shown} has no nodes; expected node line"

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from dad.compose import lower, parse_compose
 from dad.dac_emit import EmitOptions, emit_dac
-from dad.dac_ingest import Annotations, DacAst, DacCluster, DacEdge, DacNode, lift, parse_dac
+from dad.dac_ingest import Annotations, DacAst, DacEdge, DacNode, lift, parse_dac
 from dad.dac_ingest import decode_annot_value, unescape_quoted
 from dad.errors import (
     DacSyntaxError,
@@ -103,7 +103,9 @@ def reference_parse_dac(text: str, strict: bool = True) -> DacAst:
     Strict mode requires every edge identifier to be declared in a cluster;
     with strict off, unknown identifiers are left for lift to resolve as
     phantom services. Everything else about the grammar is always enforced,
-    including the one-pass-only empty body and nonempty clusters.
+    including the one-pass-only empty body and nonempty clusters. The
+    clusters are kept as read and flattened into the AST's node list when it
+    is returned.
     """
     if not text.endswith("\n"):
         raise DacSyntaxError("missing trailing newline", max(text.count("\n") + 1, 1))
@@ -117,7 +119,7 @@ def reference_parse_dac(text: str, strict: bool = True) -> DacAst:
         )
     title, direction = unescape_quoted(header.group(1)), header.group(2)
 
-    clusters: list[DacCluster] = []
+    clusters: list[tuple[str, int, tuple[DacNode, ...]]] = []  # (name, line, nodes)
     edges: list[DacEdge] = []
     declared: dict[str, DacNode] = {}
     open_cluster: tuple[str, int, list[DacNode]] | None = None
@@ -130,7 +132,7 @@ def reference_parse_dac(text: str, strict: bool = True) -> DacAst:
         name, line, nodes = open_cluster
         if not nodes:
             raise DacSyntaxError(f"cluster {name!r} has no nodes", line, col=3, expected="node line")
-        clusters.append(DacCluster(name=name, nodes=tuple(nodes), line=line))
+        clusters.append((name, line, tuple(nodes)))
         open_cluster = None
 
     for lineno, line in enumerate(lines[1:], start=2):
@@ -192,7 +194,8 @@ def reference_parse_dac(text: str, strict: bool = True) -> DacAst:
 
     if not clusters and not edges and not saw_pass:
         raise DacSyntaxError("empty body", len(lines) + 1, expected="cluster, edge or pass")
-    return DacAst(title=title, direction=direction, clusters=tuple(clusters), edges=tuple(edges))
+    nodes = tuple(node for _name, _line, cluster_nodes in clusters for node in cluster_nodes)
+    return DacAst(title=title, direction=direction, nodes=nodes, edges=tuple(edges))
 
 
 _ref_NODE_ANNOT_KEYS = {
@@ -245,7 +248,7 @@ def reference_lift(ast: DacAst) -> ArchModel:
     volumes: list[VolumeNode] = []
     networks: list[NetworkNode] = []
     by_ident: dict[str, tuple[str, str]] = {}  # ident -> (kind, node name)
-    for node in ast.nodes():
+    for node in ast.nodes:
         lifted = _ref_lift_node(node)
         by_ident[node.ident] = (node.kind, lifted.name)
         if isinstance(lifted, ServiceNode):
@@ -554,7 +557,7 @@ def test_hand_built_ast_lifts_like_the_reference():
         (("other", "x"),),
     ]:
         edge = DacEdge("-", "a", "v", annotations, 4)
-        ast = DacAst("t", "TB", (DacCluster("c", nodes, 1),), (edge,))
+        ast = DacAst("t", "TB", nodes, (edge,))
         got, want = lift_outcome(lift, ast), lift_outcome(reference_lift, ast)
         assert got == want, annotations
 

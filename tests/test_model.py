@@ -15,7 +15,7 @@ import pytest
 from dad.compose import ComposeSpec, MountRef, ServiceEntry, ValidationIssue
 from dad.consistency import ConsistencyReport, DiffEntry, DiffKind, ReportStats, Verdict, render_report
 from dad.dac_emit import DEFAULT_ROLE_TABLE, DacScript, EmitOptions, emit_dac, emit_dot
-from dad.dac_ingest import DacAst, DacCluster, DacEdge, DacNode, emit_compose
+from dad.dac_ingest import DacAst, DacEdge, DacNode, emit_compose
 from dad.errors import CycleError, EmitError, ModelError
 from dad.model import (
     ArchModel,
@@ -433,13 +433,12 @@ RECORDS = {
         DacNode("web", "Server", "web", (("image", "nginx"),), 3),
         "DacNode(ident='web', kind='Server', label='web', annotations=(('image', 'nginx'),), line=3)",
     ),
-    "DacCluster": (
-        DacCluster("services", (DacNode("db", "Server", "db"),), 2),
-        "DacCluster(name='services', nodes=(DacNode(ident='db', kind='Server', label='db', "
-        "annotations=(), line=0),), line=2)",
-    ),
     "DacEdge": (DacEdge(">>", "web", "db", line=9), "DacEdge(op='>>', src='web', dst='db', annotations=(), line=9)"),
-    "DacAst": (DacAst("t", "TB"), "DacAst(title='t', direction='TB', clusters=(), edges=())"),
+    "DacAst": (
+        DacAst("t", "TB", (DacNode("db", "Server", "db"),)),
+        "DacAst(title='t', direction='TB', nodes=(DacNode(ident='db', kind='Server', label='db', "
+        "annotations=(), line=0),), edges=())",
+    ),
     "DiffEntry": (
         DiffEntry(DiffKind.MISSING_NODE, "services.web", left=""),
         "DiffEntry(kind=<DiffKind.MISSING_NODE: 'MissingNode'>, subject='services.web', left='', right=None)",
@@ -454,7 +453,7 @@ RECORDS = {
         EmitOptions("LR", True, (("db", "data"),)),
         "EmitOptions(direction='LR', group_by_role=True, role_table=(('db', 'data'),))",
     ),
-    "DacScript": (DacScript("x"), "DacScript(text='x', identifiers=())"),
+    "DacScript": (DacScript("x"), "DacScript(text='x')"),
     "ValidationIssue": (
         ValidationIssue("EmptyName", "services", "m", "error"),
         "ValidationIssue(code='EmptyName', path='services', message='m', severity='error')",
@@ -528,12 +527,11 @@ class TestRecords:
         assert ArchModel() == ArchModel("system", (), (), (), ())
         assert CanonicalForm() == CanonicalForm((), (), (), ())
         assert DacNode("a", "Server", "a") == DacNode("a", "Server", "a", annotations=(), line=0)
-        assert DacAst("t", "LR").clusters == () and DacAst("t", "LR").edges == ()
+        assert DacAst("t", "LR").nodes == () and DacAst("t", "LR").edges == ()
         assert ReportStats() == ReportStats(0, 0, 0, 0)
         report = ConsistencyReport(Verdict.INVALID, error="e")
         assert (report.issues, report.stats, report.notes, report.error) == ((), ReportStats(), (), "e")
         assert EmitOptions() == EmitOptions(direction="TB", group_by_role=False, role_table=DEFAULT_ROLE_TABLE)
-        assert DacScript("x").identifiers == ()
         with pytest.raises(TypeError):
             Edge(EdgeKind.LINK, "a")
         with pytest.raises(TypeError):
